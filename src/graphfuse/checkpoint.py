@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 
 import numpy as np
 
@@ -32,8 +33,17 @@ def save_checkpoint(path: str, model: TokenClassifier) -> None:
     }
     arrays = {_PARAM_PREFIX + name: p.data
               for name, p in model.parameters().items()}
-    with open(path, "wb") as fh:
-        np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **arrays)
+    # write beside the target and rename, so a failed save leaves any
+    # existing checkpoint at ``path`` intact
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            np.savez(fh, **{_META_KEY: np.array(json.dumps(meta))}, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> TokenClassifier:

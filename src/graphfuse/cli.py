@@ -22,7 +22,7 @@ from .data import (
     parse_predict_input,
     serialize_conll,
 )
-from .errors import ConfigError, ParseError, TrainingDivergedError
+from .errors import ConfigError, GraphFuseError, TrainingDivergedError
 from .evaluation import evaluate, predict_corpus
 from .model import ModelConfig, TokenClassifier, VARIANTS
 from .presets import get_preset
@@ -321,13 +321,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingDivergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (GraphFuseError, FileNotFoundError, IsADirectoryError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,28 +1,26 @@
-"""Multi-head graph attention (v1 form) over a flat edge list.
+"""Multi-head graph attention (v1 form) over each sentence's complete graph.
 
 Attention logits are LeakyReLU(a · [W h_dst ; W h_src]); normalization is a
-softmax over each node's in-neighborhood, computed with segment kernels so
-the whole layer is two gathers, a segment softmax and a segment-sum away
-from dense linear algebra. Heads are concatenated and projected back to d.
+softmax over each node's in-neighborhood. Every sentence graph is complete
+and self-looped, so the in-neighborhood of a token is every real token of
+its sentence and the layer is dense attention with a key-padding mask (the
+``bias_mat`` form of the original GAT code). Heads are concatenated and
+projected back to d.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from . import tensor as T
 from .errors import ConfigError, ContractError
 from .graph import EdgeIndex
-from .layers import Linear, apply_dropout
+from .layers import Linear, apply_dropout, key_padding_bias
 from .rng import RngState
 from .tensor import Tensor
-
-GatHead = namedtuple("GatHead", ["W", "a"])  # W: (d, d_head); a: (2*d_head,)
 
 
 @dataclass
@@ -62,61 +60,54 @@ class GatParams:
             feat_dropout=feat_dropout,
         )
 
-    def head(self, i: int) -> GatHead:
-        """Per-head view (W_h, a_h) with a_h = [a_dst ; a_src]."""
-        return GatHead(self.W.data[i],
-                       np.concatenate([self.a_dst.data[i], self.a_src.data[i]]))
-
     def named(self, prefix: str = "gat") -> dict[str, Tensor]:
         return {f"{prefix}.W": self.W, f"{prefix}.a_dst": self.a_dst,
                 f"{prefix}.a_src": self.a_src,
                 **self.proj.named(f"{prefix}.proj")}
 
 
-def attention_logits(h_src: np.ndarray, h_dst: np.ndarray, head: GatHead,
-                     negative_slope: float = 0.2) -> float:
-    """Raw (pre-softmax) attention logit for one ordered pair of nodes."""
-    dh = head.W.shape[1]
-    z = float(head.a[:dh] @ (head.W.T @ h_dst) + head.a[dh:] @ (head.W.T @ h_src))
-    return z if z >= 0 else negative_slope * z
-
-
-def gat_forward(H: Tensor, edges: EdgeIndex, params: GatParams,
+def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
                 rng: RngState | None, training: bool,
-                collect: dict | None = None) -> Tensor:
-    """Graph-attention layer: (node_count, d) -> (node_count, d).
+                collect: list | None = None) -> Tensor:
+    """Graph-attention layer: padded (B, n, d) -> (B, n, d).
 
-    The input must be flattened to one row per *real* token, consistent with
-    ``edges`` (padding holds no node). In eval mode, per-head attention rows
-    are stashed into ``collect['gat_alpha']`` as (alpha (E, heads), targets).
+    ``mask`` is the (B, n) boolean attention mask (True = real token). Pad
+    keys get exactly zero weight and pad rows of the output are exactly
+    zero. When ``collect`` is given the (B, heads, n, n) attention array is
+    appended to it; pad query rows of it are meaningless.
     """
-    N, d = H.shape
-    if N != edges.node_count:
-        raise ContractError(
-            f"feature rows ({N}) disagree with edge index nodes "
-            f"({edges.node_count})")
+    B, n, d = H.shape
+    if mask.shape != (B, n):
+        raise ContractError(f"mask {mask.shape} does not match features {H.shape}")
     h = params.n_heads
-    src, tgt = edges.sources, edges.targets
 
-    # per-node projections and score halves, laid out (N, heads, ...)
-    Wh = T.transpose(T.matmul(H, params.W), (1, 0, 2))          # (N, h, dh)
-    s_dst = T.sum_(Wh * params.a_dst.reshape(1, h, -1), axis=-1)  # (N, h)
-    s_src = T.sum_(Wh * params.a_src.reshape(1, h, -1), axis=-1)
+    # per-token projections and score halves, laid out (B, heads, n, ...)
+    Wh = T.matmul(H.reshape(B, 1, n, d), params.W)                   # (B, h, n, dh)
+    s_dst = T.sum_(Wh * params.a_dst.reshape(1, h, 1, -1), axis=-1)  # (B, h, n)
+    s_src = T.sum_(Wh * params.a_src.reshape(1, h, 1, -1), axis=-1)
 
-    logits = T.leaky_relu(T.gather_rows(s_dst, tgt) + T.gather_rows(s_src, src),
-                          params.negative_slope)                 # (E, h)
-
-    # segment softmax over each target's in-neighborhood (shift detached)
-    shift = kernels.segment_max(logits.data, tgt, N)[tgt]
-    z = T.exp(logits - Tensor(shift))
-    denom = T.segment_sum(z, tgt, N)                             # (N, h)
-    alpha = z / T.gather_rows(denom, tgt)                        # (E, h)
+    logits = T.leaky_relu(s_dst.reshape(B, h, n, 1) + s_src.reshape(B, h, 1, n),
+                          params.negative_slope)                     # (B, h, dst, src)
+    alpha = T.softmax(logits + Tensor(key_padding_bias(mask)), axis=-1)
     if collect is not None:
-        collect["gat_alpha"] = (alpha.data.copy(), tgt.copy())
+        collect.append(alpha.data)
     alpha = apply_dropout(alpha, params.attn_dropout, rng, training)
 
-    messages = T.gather_rows(Wh, src) * alpha.reshape(-1, h, 1)  # (E, h, dh)
-    mixed = T.segment_sum(messages, tgt, N)                      # (N, h, dh)
-    feats = T.elu(mixed).reshape(N, h * params.d_head)
+    mixed = T.transpose(T.matmul(alpha, Wh), (0, 2, 1, 3))          # (B, n, h, dh)
+    feats = T.elu(mixed).reshape(B, n, h * params.d_head)
     feats = apply_dropout(feats, params.feat_dropout, rng, training)
-    return params.proj(feats)
+    return params.proj(feats) * mask[..., None]
+
+
+def edge_alpha(alpha: np.ndarray, lengths: list[int],
+               edges: EdgeIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (B, heads, n, n) attention -> (alpha (E, heads), targets).
+
+    Rows follow ``edges``, the complete graphs of ``lengths`` with node ids
+    offset by the prefix sums of the lengths.
+    """
+    sample = np.repeat(np.arange(len(lengths)), lengths)
+    offset = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
+    pos = np.arange(edges.node_count) - offset
+    src, tgt = edges.sources, edges.targets
+    return alpha[sample[tgt], :, pos[tgt], pos[src]], tgt.copy()

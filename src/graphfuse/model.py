@@ -18,7 +18,7 @@ from .data import Batch, LabelVocab, TokenVocab
 from .decoder import DecoderParams, decode_refine
 from .encoder import EncoderParams, encode
 from .errors import ConfigError
-from .gat import GatParams, gat_forward
+from .gat import GatParams, edge_alpha, gat_forward
 from .graph import build_fully_connected
 from .rng import RngState
 from .tensor import Tensor, masked_cross_entropy
@@ -135,23 +135,18 @@ class TokenClassifier:
         if self.config.variant == "encoder":
             return classify(H, self.head)
 
-        B, n_max = batch.token_ids.shape
-        d = self.config.d
-        edges = build_fully_connected(batch.lengths)
-        flat_idx = np.concatenate(
-            [b * n_max + np.arange(n, dtype=np.int64)
-             for b, n in enumerate(batch.lengths)])
-        H_nodes = T.gather_rows(H.reshape(B * n_max, d), flat_idx)
-        G = gat_forward(H_nodes, edges, self.gat, rng, training, collect)
+        mask = batch.attention_mask
+        alphas = [] if collect is not None else None
+        H_g = gat_forward(H, mask, self.gat, rng, training, alphas)
+        if collect is not None:
+            collect["gat_alpha"] = edge_alpha(
+                alphas[0], batch.lengths, build_fully_connected(batch.lengths))
         if self.config.gat_residual:
-            G = G + H_nodes
-        # flat_idx is unique, so this segment_sum is a pure scatter; padding
-        # rows come back as zeros
-        H_g = T.segment_sum(G, flat_idx, B * n_max).reshape(B, n_max, d)
+            H_g = H_g + H * mask[..., None]
         if self.config.variant == "gat":
             return classify(H_g, self.head)
 
-        H_dec = decode_refine(H_g, batch.attention_mask, self.decoder,
+        H_dec = decode_refine(H_g, mask, self.decoder,
                               rng, training, collect)
         return classify(H_dec, self.head)
 

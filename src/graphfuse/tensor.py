@@ -20,6 +20,7 @@ Design notes
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -27,19 +28,19 @@ from .errors import (ConfigError, ContractError, DegenerateBatchError,
                      ShapeMismatchError)
 from .rng import RngState
 
-_grad_enabled = True
+# per thread (and per asyncio task): threaded evaluation must not switch
+# grad mode off for the caller
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph construction inside the block (forward pass only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -135,7 +136,7 @@ def _ensure_tensor(x) -> Tensor:
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap an op result, recording the graph only when grads can flow."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_enabled.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -396,9 +397,21 @@ def dropout_mask(shape, p: float, rng: RngState, training: bool) -> Tensor:
 
 # -- gather / scatter ---------------------------------------------------------
 
+def _scatter_add_rows(values: np.ndarray, rows: np.ndarray,
+                      num_rows: int) -> np.ndarray:
+    """Sum rows of ``values`` (E, K) into ``num_rows`` buckets, zeros if empty.
+
+    ``np.bincount`` adds in input order, so repeated indices accumulate
+    deterministically.
+    """
+    out = np.empty((num_rows, values.shape[1]), dtype=np.float64)
+    for k in range(values.shape[1]):
+        out[:, k] = np.bincount(rows, weights=values[:, k], minlength=num_rows)
+    return out
+
+
 def gather_rows(x, indices) -> Tensor:
     """Select rows of ``x`` along axis 0; backward scatter-adds (repeats ok)."""
-    from . import kernels
     x = _ensure_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
@@ -410,28 +423,8 @@ def gather_rows(x, indices) -> Tensor:
 
     def bw(g):
         cols = int(np.prod(x.data.shape[1:], dtype=np.int64)) if x.data.ndim > 1 else 1
-        flat = kernels.segment_sum(g.reshape(idx.size, cols), idx, x.data.shape[0])
+        flat = _scatter_add_rows(g.reshape(idx.size, cols), idx, x.data.shape[0])
         return (flat.reshape(x.data.shape),)
-
-    return _make(out, (x,), bw)
-
-
-def segment_sum(x, segments, num_segments: int) -> Tensor:
-    """Sum rows of ``x`` into ``num_segments`` buckets; backward is a gather."""
-    from . import kernels
-    x = _ensure_tensor(x)
-    seg = np.asarray(segments, dtype=np.int64)
-    if seg.ndim != 1 or seg.shape[0] != x.data.shape[0]:
-        raise ContractError(
-            f"segments must be 1-D with one id per row: {seg.shape} vs {x.data.shape}")
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ContractError(f"segment id out of range [0, {num_segments})")
-    cols = int(np.prod(x.data.shape[1:], dtype=np.int64)) if x.data.ndim > 1 else 1
-    out = kernels.segment_sum(x.data.reshape(x.data.shape[0], cols), seg, num_segments)
-    out = out.reshape((num_segments,) + x.data.shape[1:])
-
-    def bw(g):
-        return (g.reshape(num_segments, cols)[seg].reshape(x.data.shape),)
 
     return _make(out, (x,), bw)
 

@@ -6,6 +6,8 @@ buffers, span/F1 references from a hand-written state machine, graph edges
 from brute-force enumeration. Tests compare the package against these.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 
@@ -52,6 +54,22 @@ def brute_force_edges(lengths):
                 tgt.append(offset + j)
         offset += n
     return src, tgt
+
+
+GatHead = namedtuple("GatHead", ["W", "a"])  # W: (d, d_head); a: (2*d_head,)
+
+
+def gat_head(params, i):
+    """Per-head view (W_h, a_h) of GatParams, with a_h = [a_dst ; a_src]."""
+    return GatHead(params.W.data[i],
+                   np.concatenate([params.a_dst.data[i], params.a_src.data[i]]))
+
+
+def attention_logits(h_src, h_dst, head, negative_slope=0.2):
+    """Raw (pre-softmax) attention logit for one ordered pair of nodes."""
+    dh = head.W.shape[1]
+    z = float(head.a[:dh] @ (head.W.T @ h_dst) + head.a[dh:] @ (head.W.T @ h_src))
+    return z if z >= 0 else negative_slope * z
 
 
 def dense_gat_reference(H, W_heads, a_heads, proj_w, proj_b, slope=0.2):

@@ -67,6 +67,27 @@ class TestRoundTrip:
         assert not (tmp_path / "weights.bin.npz").exists()
         load_checkpoint(str(path))
 
+    def test_failed_save_keeps_existing_checkpoint(self, setup, tmp_path,
+                                                   monkeypatch):
+        model, _ = setup
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(str(path), model)
+        saved = {n: p.data.copy() for n, p in model.parameters().items()}
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "savez", fail)
+        for p in model.parameters().values():
+            p.data = p.data + 1.0
+        with pytest.raises(OSError):
+            save_checkpoint(str(path), model)
+        monkeypatch.undo()
+        assert sorted(tmp_path.iterdir()) == [path]  # no temp file left behind
+        loaded = load_checkpoint(str(path)).parameters()
+        for name, want in saved.items():
+            assert np.array_equal(loaded[name].data, want), name
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path):

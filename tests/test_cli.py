@@ -103,6 +103,21 @@ class TestTrain:
                         "--out", str(tmp_path / "o"), "--preset", "bogus"])
         assert code == 2
 
+    def test_train_max_len_beyond_model_positions_exit_2(self, workdir, tmp_path,
+                                                         capsys):
+        data = workdir / "data"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": {"max_len": 8},
+                                   "train": {"max_len": 64}}))
+        code = run_cli(["train", "--train", str(data / "train.conll"),
+                        "--valid", str(data / "valid.conll"),
+                        "--out", str(tmp_path / "o"), "--preset", "copy",
+                        "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "exceeds positional table 8" in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_reports_written(self, workdir, tmp_path):

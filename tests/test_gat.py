@@ -4,29 +4,37 @@ import numpy as np
 import pytest
 
 from graphfuse.errors import ConfigError, ContractError
-from graphfuse.gat import GatParams, attention_logits, gat_forward
+from graphfuse.gat import GatParams, edge_alpha, gat_forward
 from graphfuse.graph import build_fully_connected
-from graphfuse.kernels import segment_sum
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from oracles import dense_gat_reference, finite_difference, max_rel_err
+from oracles import (attention_logits, dense_gat_reference, finite_difference,
+                     gat_head, max_rel_err)
 
 
 def make_params(d=6, hidden=8, heads=2, seed=0, **kw):
     return GatParams.init(RngState(seed), d, hidden, heads, **kw)
 
 
+def full_mask(B, n):
+    return np.ones((B, n), dtype=bool)
+
+
+def length_mask(lengths):
+    return np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
+
+
 class TestAttentionLogits:
     def test_zero_attention_vector(self):
         params = make_params()
-        head = params.head(0)
+        head = gat_head(params, 0)
         head = head._replace(a=np.zeros_like(head.a))
         rng = RngState(1)
         assert attention_logits(rng.normal((6,)), rng.normal((6,)), head) == 0.0
 
     def test_zero_features(self):
-        head = make_params(seed=2).head(1)
+        head = gat_head(make_params(seed=2), 1)
         assert attention_logits(np.zeros(6), np.zeros(6), head) == 0.0
 
     def test_three_node_case_matches_scalar_reference(self):
@@ -34,7 +42,7 @@ class TestAttentionLogits:
         params = make_params(seed=3)
         H = rng.normal((3, 6))
         for hi in range(2):
-            head = params.head(hi)
+            head = gat_head(params, hi)
             dh = head.W.shape[1]
             for dst in range(3):
                 for src in range(3):
@@ -48,43 +56,40 @@ class TestAttentionLogits:
 class TestGatForward:
     def test_single_node_alpha_is_one(self):
         params = make_params(seed=4)
-        edges = build_fully_connected([1])
-        collect = {}
-        out = gat_forward(Tensor(RngState(5).normal((1, 6))), edges, params,
-                          None, False, collect)
-        alpha, _ = collect["gat_alpha"]
-        np.testing.assert_allclose(alpha, np.ones((1, 2)))
-        assert out.shape == (1, 6)
+        collect = []
+        out = gat_forward(Tensor(RngState(5).normal((1, 1, 6))), full_mask(1, 1),
+                          params, None, False, collect)
+        np.testing.assert_allclose(collect[0], np.ones((1, 2, 1, 1)))
+        assert out.shape == (1, 1, 6)
 
     def test_identical_features_give_uniform_alpha(self):
         params = make_params(seed=6)
         n = 5
-        edges = build_fully_connected([n])
-        H = Tensor(np.tile(RngState(7).normal((1, 6)), (n, 1)))
-        collect = {}
-        gat_forward(H, edges, params, None, False, collect)
-        alpha, _ = collect["gat_alpha"]
-        np.testing.assert_allclose(alpha, np.full((n * n, 2), 1.0 / n),
+        H = Tensor(np.tile(RngState(7).normal((1, 1, 6)), (1, n, 1)))
+        collect = []
+        gat_forward(H, full_mask(1, n), params, None, False, collect)
+        np.testing.assert_allclose(collect[0], np.full((1, 2, n, n), 1.0 / n),
                                    atol=1e-12)
 
     def test_alpha_sums_to_one_per_neighborhood(self):
         params = make_params(seed=8, attn_dropout=0.3, feat_dropout=0.3)
         lengths = [4, 1, 6]
-        edges = build_fully_connected(lengths)
-        H = Tensor(RngState(9).normal((sum(lengths), 6)) * 3)
-        collect = {}
-        gat_forward(H, edges, params, None, False, collect)  # eval mode
-        alpha, tgt = collect["gat_alpha"]
-        sums = segment_sum(alpha, tgt, edges.node_count)
-        np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-9)
+        mask = length_mask(lengths)
+        H = Tensor(RngState(9).normal((3, 6, 6)) * 3)
+        collect = []
+        gat_forward(H, mask, params, None, False, collect)  # eval mode
+        alpha = collect[0]
+        for b, n in enumerate(lengths):
+            np.testing.assert_allclose(alpha[b, :, :n].sum(-1), 1.0, atol=1e-9)
+            assert np.all(alpha[b, :, :, n:] == 0.0)  # pad keys get no weight
 
     def test_dense_oracle_four_nodes_two_heads(self):
         rng = RngState(10)
         params = make_params(d=5, hidden=6, heads=2, seed=10)
         H = rng.normal((4, 5))
-        edges = build_fully_connected([4])
-        collect = {}
-        out = gat_forward(Tensor(H), edges, params, None, False, collect).data
+        collect = []
+        out = gat_forward(Tensor(H[None]), full_mask(1, 4), params, None, False,
+                          collect).data[0]
 
         W_heads = [params.W.data[i] for i in range(2)]
         a_heads = [np.concatenate([params.a_dst.data[i], params.a_src.data[i]])
@@ -93,7 +98,8 @@ class TestGatForward:
             H, W_heads, a_heads, params.proj.w.data, params.proj.b.data)
         np.testing.assert_allclose(out, want, rtol=1e-10, atol=1e-12)
 
-        alpha, tgt = collect["gat_alpha"]
+        edges = build_fully_connected([4])
+        alpha, tgt = edge_alpha(collect[0], [4], edges)
         for hi in range(2):
             dense = np.zeros((4, 4))
             # edge order is source-major: e = src*4 + dst for a single sample
@@ -101,27 +107,39 @@ class TestGatForward:
                 dense[tgt[e], edges.sources[e]] = alpha[e, hi]
             np.testing.assert_allclose(dense, alphas_ref[hi], rtol=1e-10)
 
+    def test_padded_sentences_match_each_sentence_alone(self):
+        params = make_params(seed=22)
+        lengths = [5, 3]
+        mask = length_mask(lengths)
+        H = RngState(23).normal((2, 5, 6))  # pad rows hold junk on purpose
+        out = gat_forward(Tensor(H), mask, params, None, False).data
+        assert np.all(out[~mask] == 0.0)
+        for b, n in enumerate(lengths):
+            alone = gat_forward(Tensor(H[b:b + 1, :n]), full_mask(1, n), params,
+                                None, False).data[0]
+            np.testing.assert_allclose(out[b, :n], alone, rtol=1e-10, atol=1e-12)
+
     def test_permutation_equivariance(self):
         params = make_params(seed=11)
         n = 6
-        edges = build_fully_connected([n])
-        H = RngState(12).normal((n, 6))
+        H = RngState(12).normal((1, n, 6))
         perm = RngState(13).permutation(n)
-        out = gat_forward(Tensor(H), edges, params, None, False).data
-        out_p = gat_forward(Tensor(H[perm]), edges, params, None, False).data
-        np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
+        out = gat_forward(Tensor(H), full_mask(1, n), params, None, False).data
+        out_p = gat_forward(Tensor(H[:, perm]), full_mask(1, n), params, None,
+                            False).data
+        np.testing.assert_allclose(out_p, out[:, perm], atol=1e-10)
 
     def test_output_shape_matches_input(self):
         params = make_params(seed=14)
-        edges = build_fully_connected([3, 2])
-        H = Tensor(RngState(15).normal((5, 6)))
-        assert gat_forward(H, edges, params, None, False).shape == (5, 6)
+        H = Tensor(RngState(15).normal((2, 3, 6)))
+        assert gat_forward(H, length_mask([3, 2]), params, None,
+                           False).shape == (2, 3, 6)
 
     def test_node_count_mismatch(self):
         params = make_params(seed=16)
-        edges = build_fully_connected([3])
         with pytest.raises(ContractError):
-            gat_forward(Tensor(np.zeros((4, 6))), edges, params, None, False)
+            gat_forward(Tensor(np.zeros((1, 4, 6))), full_mask(1, 3), params,
+                        None, False)
 
     def test_hidden_not_divisible(self):
         with pytest.raises(ConfigError):
@@ -129,12 +147,11 @@ class TestGatForward:
 
     def test_gradients_match_finite_differences_five_nodes(self):
         params = make_params(d=4, hidden=4, heads=2, seed=17)
-        edges = build_fully_connected([5])
-        H = Tensor(RngState(18).normal((5, 4)), requires_grad=True)
-        w = RngState(19).normal((5, 4))
+        H = Tensor(RngState(18).normal((1, 5, 4)), requires_grad=True)
+        w = RngState(19).normal((1, 5, 4))
 
         def loss_tensor():
-            return (gat_forward(H, edges, params, None, False) * w).sum()
+            return (gat_forward(H, full_mask(1, 5), params, None, False) * w).sum()
 
         loss_tensor().backward()
         names = {"H": H, **params.named("gat")}
@@ -145,8 +162,7 @@ class TestGatForward:
 
     def test_training_dropout_draws_are_seeded(self):
         params = make_params(seed=20, attn_dropout=0.4, feat_dropout=0.4)
-        edges = build_fully_connected([4])
-        H = Tensor(RngState(21).normal((4, 6)))
-        a = gat_forward(H, edges, params, RngState(5), True).data
-        b = gat_forward(H, edges, params, RngState(5), True).data
+        H = Tensor(RngState(21).normal((1, 4, 6)))
+        a = gat_forward(H, full_mask(1, 4), params, RngState(5), True).data
+        b = gat_forward(H, full_mask(1, 4), params, RngState(5), True).data
         assert a.tobytes() == b.tobytes()

@@ -1,5 +1,7 @@
 """Tensor-core tests. Gradient expectations come from tests/oracles.py."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,33 @@ class TestBackwardEngine:
         with pytest.raises(ContractError):
             y.backward()
 
+    def test_interleaved_no_grad_in_threads_leaves_grad_on(self):
+        # forces A enters, B enters, A exits, B exits: with one process-wide
+        # flag, B's exit would restore the "off" it saw on entry
+        barrier = threading.Barrier(2, timeout=10)
+
+        def thread_a():
+            with T.no_grad():
+                barrier.wait()  # A in
+                barrier.wait()  # B in
+            barrier.wait()      # A out
+
+        def thread_b():
+            barrier.wait()
+            with T.no_grad():
+                barrier.wait()
+                barrier.wait()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert not barrier.broken
+        x = Tensor([1.0], requires_grad=True)
+        assert (x * 2.0).requires_grad
+
     def test_broadcast_add_grads(self):
         rng = RngState(9)
         a = Tensor(rng.normal((4, 5)), requires_grad=True)
@@ -285,20 +314,6 @@ class TestGatherScatter:
     def test_gather_rows_bounds(self):
         with pytest.raises(ContractError):
             T.gather_rows(Tensor(np.zeros((3, 2))), [0, 3])
-
-    def test_segment_sum_forward_and_grad(self):
-        x = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
-        seg = np.array([0, 0, 2, 1, 2])
-        out = T.segment_sum(x, seg, 3)
-        want = np.array([[0 + 2, 1 + 3], [6.0, 7.0], [4 + 8, 5 + 9]])
-        np.testing.assert_array_equal(out.data, want)
-        (out * np.array([[1.0, 2], [3, 4], [5, 6]])).sum().backward()
-        np.testing.assert_array_equal(
-            x.grad, np.array([[1.0, 2], [1, 2], [5, 6], [3, 4], [5, 6]]))
-
-    def test_segment_sum_validates(self):
-        with pytest.raises(ContractError):
-            T.segment_sum(Tensor(np.zeros((3, 2))), [0, 1, 5], 3)
 
 
 class TestMaskedCrossEntropy:
