@@ -226,7 +226,7 @@ def cmd_ablate(args) -> int:
             train(model, corpora, train_config)
             report = evaluate(model, splits["test"],
                               batch_size=train_config.batch_size,
-                              max_len=train_config.max_len)
+                              max_len=model_config.max_len)
             rows.append((variant, seed, report.micro["f1"],
                          report.macro["f1"]))
             print(f"{variant:8s} seed {seed}: micro-F1 "

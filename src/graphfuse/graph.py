@@ -3,7 +3,10 @@
 Every token of every sample is a node; each sample's nodes form a complete
 directed graph including self-loops. Samples never share edges: node ids are
 offset by the prefix sum of the preceding sample lengths, and padding gets
-no node at all (which is why the GAT softmax needs no padding mask).
+no node at all. The GAT itself runs as dense attention over the padded
+batch with a key-padding bias; this edge list only orders the per-edge
+weights that :func:`graphfuse.gat.edge_alpha` reports, and serves the test
+oracles.
 """
 
 from __future__ import annotations

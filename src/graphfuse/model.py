@@ -13,13 +13,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .classifier import HeadParams, classify
 from .data import Batch, LabelVocab, TokenVocab
 from .decoder import DecoderParams, decode_refine
 from .encoder import EncoderParams, encode
 from .errors import ConfigError
 from .gat import GatParams, edge_alpha, gat_forward
 from .graph import build_fully_connected
+from .layers import Linear
 from .rng import RngState
 from .tensor import Tensor, masked_cross_entropy
 
@@ -77,6 +77,25 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
+
+
+@dataclass
+class HeadParams:
+    out: Linear  # d -> L
+
+    @staticmethod
+    def init(rng: RngState, d: int, n_labels: int) -> "HeadParams":
+        if n_labels < 2:
+            raise ConfigError(f"need at least 2 labels, got {n_labels}")
+        return HeadParams(Linear.init(rng, d, n_labels))
+
+    def named(self, prefix: str = "head") -> dict[str, Tensor]:
+        return self.out.named(f"{prefix}.out")
+
+
+def classify(H_dec: Tensor, head: HeadParams) -> Tensor:
+    """Per-token affine map to label logits (no softmax; the loss wants logits)."""
+    return head.out(H_dec)
 
 
 class TokenClassifier:

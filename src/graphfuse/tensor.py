@@ -2,13 +2,18 @@
 
 A :class:`Tensor` wraps an ndarray plus an optional gradient buffer. Ops
 build a DAG of closures; :func:`backward` walks it once in topological order
-and accumulates dL/dθ into ``.grad``. Everything is 64-bit: at desk scale we
+and accumulates dL/dθ into the ``.grad`` of each leaf (a tensor no op
+produced, e.g. a parameter). Everything is 64-bit: at desk scale we
 trade speed for checkable numerics (finite differences at 1e-3 relative
 tolerance need the headroom).
 
 Design notes
 ------------
 * Gradients accumulate across ``backward`` calls until ``zero_grad``.
+  Intermediate results keep ``.grad is None``.
+* A binary op's backward returns ``None`` for an operand that did not
+  require grad when the op ran (dropout and padding masks, constant
+  scales), so no product or reduction is spent on a gradient nobody reads.
 * Stochastic ops take an explicit :class:`~graphfuse.rng.RngState`.
 * ``no_grad()`` suppresses graph construction (evaluation paths).
 * Fused primitives (softmax, layer_norm, masked_cross_entropy) carry
@@ -161,9 +166,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(g, b.data.shape) if need_b else None)
 
     return _make(out, (a, b), bw)
 
@@ -171,9 +178,11 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     out = a.data - b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if need_a else None,
+                _unbroadcast(-g, b.data.shape) if need_b else None)
 
     return _make(out, (a, b), bw)
 
@@ -181,10 +190,11 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     out = a.data * b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if need_a else None,
+                _unbroadcast(g * a.data, b.data.shape) if need_b else None)
 
     return _make(out, (a, b), bw)
 
@@ -192,10 +202,12 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     out = a.data / b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b.data, a.data.shape) if need_a else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if need_b else None)
 
     return _make(out, (a, b), bw)
 
@@ -240,10 +252,15 @@ def matmul(a, b) -> Tensor:
             f"matmul batch dims do not broadcast: {a.data.shape} x {b.data.shape}"
         ) from exc
 
+    need_a, need_b = a.requires_grad, b.requires_grad
+
     def bw(g):
-        ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        gb = np.matmul(a.data.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+        if need_b:
+            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+        return ga, gb
 
     return _make(out, (a, b), bw)
 
@@ -478,10 +495,12 @@ def masked_cross_entropy(logits: Tensor, label_ids: np.ndarray) -> Tensor:
 # -- engine -------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``.grad`` on every requires_grad leaf reachable from loss.
 
+    Leaves are tensors no op produced (``_backward_fn is None``), which
+    includes every parameter; intermediate results keep ``.grad is None``.
     Iterative topological order; each node is visited exactly once. Repeated
-    calls accumulate into existing buffers.
+    calls accumulate into existing leaf buffers.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -504,17 +523,18 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    # Per-call working buffers keep repeated backward() calls independent;
-    # only the final += below touches the persistent .grad accumulators.
+    # Per-call working buffers keep repeated backward() calls independent
+    # and carry every intermediate gradient; only a leaf's += below touches
+    # a persistent .grad accumulator.
     work: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for node in reversed(topo):
         g = work.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad += g
         if node._backward_fn is None:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:

@@ -296,6 +296,41 @@ class TestBackwardEngine:
             [x.data])
         assert max_rel_err(x.grad, fd[0]) < 1e-6
 
+    def test_only_leaves_get_grad_buffers(self):
+        rng = RngState(14)
+        x = Tensor(rng.normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.normal((4, 2)), requires_grad=True)
+        c = Tensor(rng.normal((3, 2)))
+        y = x @ w
+        z = y * c
+        loss = (z * z).sum()
+        loss.backward()
+        for node in (y, z, loss):
+            assert node.grad is None
+        assert c.grad is None
+        fd = finite_difference(
+            lambda: (((x.data @ w.data) * c.data) ** 2).sum(), [x.data, w.data])
+        assert max_rel_err(x.grad, fd[0]) < 1e-6
+        assert max_rel_err(w.grad, fd[1]) < 1e-6
+
+    @pytest.mark.parametrize("const_slot", [0, 1])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul"])
+    def test_constant_operand_gets_no_gradient(self, op, const_slot):
+        rng = RngState(15)
+        shapes = ((3, 4), (4, 2)) if op == "matmul" else ((3, 4), (4,))
+        # positive values keep div's denominator away from zero
+        data = [rng.uniform(0.5, 2.0, s) for s in shapes]
+        g = np.ones((3, 2) if op == "matmul" else (3, 4))
+        both = getattr(T, op)(*(Tensor(d, requires_grad=True) for d in data))
+        want = both._backward_fn(g)
+        operands = [Tensor(d, requires_grad=i != const_slot)
+                    for i, d in enumerate(data)]
+        got = getattr(T, op)(*operands)._backward_fn(g)
+        assert got[const_slot] is None
+        live = 1 - const_slot
+        assert got[live].shape == shapes[live]
+        np.testing.assert_array_equal(got[live], want[live])
+
 
 class TestGatherScatter:
     def test_gather_rows_forward(self):
