@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from dataclasses import asdict
 
 import numpy as np
 
 from .data import LabelVocab, TokenVocab
 from .errors import ConfigError
-from .model import ModelConfig, TokenClassifier
+from .model import ModelConfig, TokenClassifier, build_config
 from .rng import RngState
 
 FORMAT_VERSION = 1
@@ -27,7 +28,7 @@ _PARAM_PREFIX = "param::"
 def save_checkpoint(path: str, model: TokenClassifier) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "token_vocab": model.token_vocab.token_to_id,
         "label_vocab": model.label_vocab.label_to_id,
     }
@@ -56,7 +57,7 @@ def load_checkpoint(path: str) -> TokenClassifier:
         version = meta.get("format_version")
         if version != FORMAT_VERSION:
             raise ConfigError(f"unsupported checkpoint version {version!r}")
-        config = ModelConfig.from_dict(meta["config"])
+        config = build_config(ModelConfig, meta.get("config"), "checkpoint model")
         token_vocab = TokenVocab.from_json(json.dumps(meta["token_vocab"]))
         label_vocab = LabelVocab.from_json(json.dumps(meta["label_vocab"]))
         model = TokenClassifier(config, token_vocab, label_vocab, RngState(0))

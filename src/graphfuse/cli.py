@@ -12,6 +12,7 @@ import json
 import os
 import statistics
 import sys
+from dataclasses import asdict
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
@@ -22,9 +23,10 @@ from .data import (
     parse_predict_input,
     serialize_conll,
 )
-from .errors import ConfigError, GraphFuseError, TrainingDivergedError
+from .errors import (ConfigError, GraphFuseError, TrainingDivergedError,
+                     VocabMismatchError)
 from .evaluation import evaluate, predict_corpus
-from .model import ModelConfig, TokenClassifier, VARIANTS
+from .model import VARIANTS, ModelConfig, TokenClassifier, build_config
 from .presets import get_preset
 from .rng import RngState
 from .synth import KINDS, copy_spec, generate, relational_spec, window_spec
@@ -46,69 +48,45 @@ def _load_corpus(path: str):
     return parse_conll(_read_text(path))
 
 
-def _layered_config(args) -> tuple[dict, dict, str]:
+def _layered_config(args) -> tuple[dict, dict]:
     """Merge preset -> config file -> flags into model/train override dicts."""
-    model: dict = {}
-    train_: dict = {}
-    variant = None
-    if args.preset:
-        preset = get_preset(args.preset)
-        model.update(preset.get("model", {}))
-        train_.update(preset.get("train", {}))
+    layers = [get_preset(args.preset)] if args.preset else []
     if args.config:
         blob = json.loads(_read_text(args.config))
         if not isinstance(blob, dict):
             raise ConfigError(f"{args.config}: top level must be an object")
-        model.update(blob.get("model", {}))
-        train_.update(blob.get("train", {}))
-        variant = blob.get("variant", variant)
+        unknown = sorted(set(blob) - {"model", "train"})
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown key(s) {unknown}; "
+                              "only \"model\" and \"train\" are allowed")
+        layers.append(blob)
     flag_model = {
         "max_len": args.max_len,
         "d": args.hidden, "d_emb": args.hidden, "gat_hidden": args.hidden,
         "gat_heads": args.heads, "enc_heads": args.heads,
-        "dec_heads": args.heads,
+        "dec_heads": args.heads, "variant": getattr(args, "variant", None),
     }
     flag_train = {
         "learning_rate": args.lr, "epochs": args.epochs,
         "batch_size": args.batch_size, "max_len": args.max_len,
         "seed": args.seed,
     }
+    model: dict = {}
+    train_: dict = {}
+    for layer in layers:
+        for name, merged in (("model", model), ("train", train_)):
+            section = layer.get(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name} must be an object, got {section!r}")
+            merged.update(section)
     model.update({k: v for k, v in flag_model.items() if v is not None})
     train_.update({k: v for k, v in flag_train.items() if v is not None})
-    if getattr(args, "variant", None):
-        variant = args.variant
-    return model, train_, (variant or "full")
-
-
-def _build_train_config(train_overrides: dict) -> TrainConfig:
-    base = TrainConfig().to_dict()
-    unknown = set(train_overrides) - set(base)
-    if unknown:
-        raise ConfigError(f"unknown train option(s): {sorted(unknown)}")
-    base.update(train_overrides)
-    config = TrainConfig.from_dict(base)
-    config.validate()
-    return config
-
-
-def _build_model_config(model_overrides: dict, variant: str,
-                        vocab_size: int, n_labels: int) -> ModelConfig:
-    base = ModelConfig(vocab_size=vocab_size, n_labels=n_labels).to_dict()
-    unknown = set(model_overrides) - set(base)
-    if unknown:
-        raise ConfigError(f"unknown model option(s): {sorted(unknown)}")
-    base.update(model_overrides)
-    base["vocab_size"] = vocab_size
-    base["n_labels"] = n_labels
-    base["variant"] = variant
-    config = ModelConfig.from_dict(base)
-    config.validate()
-    return config
+    return model, train_
 
 
 def cmd_train(args) -> int:
-    model_over, train_over, variant = _layered_config(args)
-    train_config = _build_train_config(train_over)
+    model_over, train_over = _layered_config(args)
+    train_config = build_config(TrainConfig, train_over, "train")
     train_corpus = _load_corpus(args.train)
     valid_corpus = _load_corpus(args.valid)
     if not train_corpus:
@@ -118,8 +96,9 @@ def cmd_train(args) -> int:
 
     token_vocab = build_token_vocab(train_corpus)
     label_vocab = build_label_vocab(train_corpus)
-    model_config = _build_model_config(model_over, variant,
-                                       len(token_vocab), len(label_vocab))
+    model_config = build_config(ModelConfig, model_over, "model",
+                                vocab_size=len(token_vocab),
+                                n_labels=len(label_vocab))
     model = TokenClassifier(model_config, token_vocab, label_vocab,
                             RngState(train_config.seed))
     result = train(model, {"train": train_corpus, "valid": valid_corpus},
@@ -132,8 +111,8 @@ def cmd_train(args) -> int:
         fh.write(result.history_jsonl())
     with open(os.path.join(args.out, "config.json"), "w",
               encoding="utf-8") as fh:
-        json.dump({"model": model_config.to_dict(),
-                   "train": train_config.to_dict()}, fh, indent=2)
+        json.dump({"model": asdict(model_config),
+                   "train": asdict(train_config)}, fh, indent=2)
         fh.write("\n")
     for row in result.history:
         print(f"epoch {row['epoch']:3d}  loss {row['train_loss']:.4f}  "
@@ -152,7 +131,7 @@ def cmd_eval(args) -> int:
     for sent in test_corpus:
         for lab in sent.labels:
             if lab != IGNORE_LABEL and lab not in known:
-                raise ConfigError(
+                raise VocabMismatchError(
                     f"test label {lab!r} is not in the checkpoint's "
                     f"label vocabulary")
     report = evaluate(model, test_corpus,
@@ -208,7 +187,7 @@ def cmd_ablate(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
-    model_over, train_over, _ = _layered_config(args)
+    model_over, train_over = _layered_config(args)
 
     splits = generate(relational_spec(seed=args.data_seed))
     token_vocab = build_token_vocab(splits["train"])
@@ -218,9 +197,11 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant in VARIANTS:
         for seed in seeds:
-            train_config = _build_train_config(dict(train_over, seed=seed))
-            model_config = _build_model_config(
-                model_over, variant, len(token_vocab), len(label_vocab))
+            train_config = build_config(TrainConfig, train_over, "train",
+                                        seed=seed)
+            model_config = build_config(
+                ModelConfig, model_over, "model", variant=variant,
+                vocab_size=len(token_vocab), n_labels=len(label_vocab))
             model = TokenClassifier(model_config, token_vocab, label_vocab,
                                     RngState(seed))
             train(model, corpora, train_config)

@@ -90,7 +90,6 @@ class LabelVocab:
         ordered = ["O"] + sorted(l for l in set(labels) if l not in ("O", IGNORE_LABEL))
         self.id_to_label: list[str] = ordered
         self.label_to_id: dict[str, int] = {l: i for i, l in enumerate(ordered)}
-        self.ignore_id = IGNORE_ID
 
     def __len__(self) -> int:
         return len(self.id_to_label)
@@ -119,7 +118,6 @@ class LabelVocab:
         for label, idx in mapping.items():
             vocab.id_to_label[idx] = label
         vocab.label_to_id = dict(mapping)
-        vocab.ignore_id = IGNORE_ID
         return vocab
 
 
@@ -200,10 +198,6 @@ class Batch:
                 f"mask {self.attention_mask.shape}, labels {self.label_ids.shape}")
         if len(self.lengths) != B:
             raise ContractError(f"{len(self.lengths)} lengths for {B} rows")
-
-    @property
-    def size(self) -> int:
-        return self.token_ids.shape[0]
 
 
 def make_batches(corpus: Corpus, batch_size: int, max_len: int,

@@ -2,7 +2,7 @@
 
 Evaluation is read-only, so batches may be scored in parallel; results are
 merged in batch order, which keeps the output independent of thread count.
-The GRAPHFUSE_THREADS environment variable caps the pool (default 1).
+GRAPHFUSE_THREADS, the only thread control, caps the pool (default 1).
 """
 
 from __future__ import annotations
@@ -16,21 +16,20 @@ from .metrics import EvalReport, score
 from .model import TokenClassifier
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("GRAPHFUSE_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(f"GRAPHFUSE_THREADS must be an integer, got {raw!r}")
+def _thread_count() -> int:
+    raw = os.environ.get("GRAPHFUSE_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"GRAPHFUSE_THREADS must be an integer, got {raw!r}")
     if threads < 1:
-        raise ConfigError(f"thread count must be >= 1, got {threads}")
+        raise ConfigError(f"GRAPHFUSE_THREADS must be >= 1, got {threads}")
     return threads
 
 
 def predict_corpus(model: TokenClassifier, corpus: Corpus,
-                   batch_size: int = 16, max_len: int | None = None,
-                   threads: int | None = None) -> list[list[str]]:
+                   batch_size: int = 16,
+                   max_len: int | None = None) -> list[list[str]]:
     """Predicted label strings per sentence, in corpus order.
 
     Sentences beyond max_len are truncated exactly as in training. Input
@@ -39,7 +38,7 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
     max_len = max_len or model.config.max_len
     batches = make_batches(corpus, batch_size, max_len, model.token_vocab,
                            model.label_vocab, rng=None, encode_labels=False)
-    n = _thread_count(threads)
+    n = _thread_count()
     if n == 1 or len(batches) <= 1:
         id_rows = [model.predict_batch(b) for b in batches]
     else:
@@ -53,9 +52,9 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
 
 
 def evaluate(model: TokenClassifier, corpus: Corpus, batch_size: int = 16,
-             max_len: int | None = None, threads: int | None = None) -> EvalReport:
+             max_len: int | None = None) -> EvalReport:
     """Score model predictions against the corpus gold labels."""
     max_len = max_len or model.config.max_len
-    preds = predict_corpus(model, corpus, batch_size, max_len, threads)
+    preds = predict_corpus(model, corpus, batch_size, max_len)
     golds = [s.labels[:max_len] for s in corpus]
     return score(golds, preds)

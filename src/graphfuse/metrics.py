@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .data import IGNORE_LABEL as IGNORE
 from .errors import ContractError
-
-IGNORE = "-100"
 
 
 @dataclass(frozen=True, order=True)

@@ -8,7 +8,9 @@ is shared unchanged across variants.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import functools
+import typing
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -51,6 +53,10 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must cover pad+unk, got {self.vocab_size}")
         if self.n_labels < 2:
             raise ConfigError(f"n_labels must be >= 2, got {self.n_labels}")
+        if min(self.d_emb, self.d, self.gat_hidden, self.enc_heads,
+               self.gat_heads, self.dec_heads) < 1:
+            raise ConfigError("d_emb, d, gat_hidden and every heads count "
+                              "must be >= 1")
         if self.d_emb % 2 != 0:
             raise ConfigError(f"d_emb must be even for sinusoidal positions, got {self.d_emb}")
         if self.enc_layers not in (0, 1, 2):
@@ -71,12 +77,47 @@ class ModelConfig:
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+# exact types, so a JSON true/false is not an int; an int is a valid float
+_JSON_TYPES = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
+# cached: resolving the annotations takes ~0.1 ms, 5 % of a small checkpoint load
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _checked(name: str, kind, value):
+    """``value`` if its JSON type fits the field type ``kind``, else ConfigError."""
+    if type(value) in _JSON_TYPES.get(kind, ()):
+        return value
+    items = typing.get_args(kind)  # (float, float) for betas, a JSON list
+    if items and type(value) is list and len(value) == len(items):
+        return tuple(_checked(name, k, v) for k, v in zip(items, value))
+    raise ConfigError(f"{name} must be {kind if items else kind.__name__}, got {value!r}")
+
+
+def build_config(cls, overrides, section: str, **derived):
+    """Validated ``cls`` from a preset, config file, flags or checkpoint.
+
+    An unknown key, or a value whose JSON type does not fit its field, in the
+    ``overrides`` object raises ConfigError naming ``section.key``.
+    ``derived`` values are computed by the caller and replace stored ones.
+    """
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{section} must be an object, got {overrides!r}")
+    hints = _type_hints(cls)
+    unknown = sorted(set(overrides) - set(hints))
+    if unknown:
+        raise ConfigError("unknown config key(s): "
+                          + ", ".join(f"{section}.{k}" for k in unknown))
+    values = {k: _checked(f"{section}.{k}", hints[k], v)
+              for k, v in overrides.items()}
+    values.update(derived)
+    missing = [f"{section}.{f.name}" for f in fields(cls)
+               if f.name not in values and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"missing config key(s): {', '.join(missing)}")
+    config = cls(**values)
+    config.validate()
+    return config
 
 
 @dataclass

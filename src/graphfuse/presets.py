@@ -8,8 +8,8 @@ batch size 16, weight decay 0.01, clipping 1.0, warmup ratio 0.1, dropout
 bundled synthetic tasks on a single CPU core.
 
 A preset is a plain dict with "model" and "train" sub-dicts whose keys match
-ModelConfig / TrainConfig field names. Anything not listed falls through to
-the dataclass defaults.
+ModelConfig / TrainConfig field names; dropout and variant are model keys.
+Anything not listed falls through to the dataclass defaults.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ PRESETS: dict[str, dict] = {
         "train": {
             "learning_rate": 5e-5, "epochs": 15, "batch_size": 16,
             "max_len": 128, "weight_decay": 0.01, "clip_norm": 1.0,
-            "warmup_ratio": 0.1, "dropout": 0.3,
+            "warmup_ratio": 0.1,
         },
     },
     "vietmed": {
@@ -40,7 +40,7 @@ PRESETS: dict[str, dict] = {
         "train": {
             "learning_rate": 3e-5, "epochs": 15, "batch_size": 16,
             "max_len": 128, "weight_decay": 0.01, "clip_norm": 1.0,
-            "warmup_ratio": 0.1, "dropout": 0.3,
+            "warmup_ratio": 0.1,
         },
     },
     "disfluency": {
@@ -52,7 +52,7 @@ PRESETS: dict[str, dict] = {
         "train": {
             "learning_rate": 2e-5, "epochs": 10, "batch_size": 16,
             "max_len": 128, "weight_decay": 0.01, "clip_norm": 1.0,
-            "warmup_ratio": 0.1, "dropout": 0.3,
+            "warmup_ratio": 0.1,
         },
     },
     # Desk-scale settings tuned on the synthetic tasks (single CPU core).
@@ -64,7 +64,7 @@ PRESETS: dict[str, dict] = {
         },
         "train": {
             "learning_rate": 3e-3, "epochs": 12, "batch_size": 16,
-            "max_len": 16, "dropout": 0.1, "early_stop_patience": 4,
+            "max_len": 16, "early_stop_patience": 4,
         },
     },
     "relational": {
@@ -75,7 +75,7 @@ PRESETS: dict[str, dict] = {
         },
         "train": {
             "learning_rate": 3e-3, "epochs": 50, "batch_size": 16,
-            "max_len": 40, "dropout": 0.1, "early_stop_patience": 10,
+            "max_len": 40, "early_stop_patience": 10,
         },
     },
 }

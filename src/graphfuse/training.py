@@ -23,7 +23,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     clip_norm: float = 1.0
     warmup_ratio: float = 0.1
-    dropout: float = 0.3
     batch_size: int = 16
     epochs: int = 15
     max_len: int = 128
@@ -43,23 +42,11 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 1:
             raise ConfigError("epochs, batch_size and max_len must all be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0,1), got {self.dropout}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         b1, b2 = self.betas
         if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
             raise ConfigError(f"betas must lie in [0,1), got {self.betas}")
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["betas"] = list(self.betas)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
-        return cls(**d)
 
 
 def lr_schedule(step: int, total_steps: int, warmup_ratio: float,

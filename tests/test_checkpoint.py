@@ -57,7 +57,7 @@ class TestRoundTrip:
         loaded = load_checkpoint(str(path))
         assert loaded.token_vocab.to_json() == model.token_vocab.to_json()
         assert loaded.label_vocab.to_json() == model.label_vocab.to_json()
-        assert loaded.config.to_dict() == model.config.to_dict()
+        assert loaded.config == model.config
 
     def test_exact_filename_no_suffix(self, setup, tmp_path):
         model, _ = setup
@@ -110,4 +110,22 @@ class TestErrors:
         blob["__meta__"] = np.array(json.dumps(meta))
         np.savez(open(path, "wb"), **blob)
         with pytest.raises(ConfigError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key", ["bogus", "vocab_size"])
+    def test_bad_stored_config(self, setup, tmp_path, key):
+        model, _ = setup
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(str(path), model)
+        blob = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(str(blob["__meta__"]))
+        stored = meta["config"]
+        if key in stored:
+            del stored[key]  # a required key is gone
+        else:
+            stored[key] = 1  # a key ModelConfig does not have
+        blob["__meta__"] = np.array(json.dumps(meta))
+        with open(path, "wb") as fh:
+            np.savez(fh, **blob)
+        with pytest.raises(ConfigError, match=key):
             load_checkpoint(str(path))

@@ -6,10 +6,28 @@ import os
 import pytest
 
 from graphfuse.cli import main
+from graphfuse.model import build_config
+from graphfuse.training import TrainConfig
 
 
 def run_cli(argv):
     return main(argv)
+
+
+# config files that must end in exit 2, and the text the error must contain
+BAD_CONFIGS = {
+    "section-not-object": ({"model": [1, 2]}, "model must be an object"),
+    "int-as-string": ({"train": {"epochs": "x"}}, "train.epochs"),
+    "bool-as-string": ({"model": {"gat_residual": "no"}}, "model.gat_residual"),
+    "betas-number": ({"train": {"betas": 0.9}}, "train.betas"),
+    "betas-one-value": ({"train": {"betas": [0.9]}}, "train.betas"),
+    "bool-as-int": ({"train": {"epochs": True}}, "train.epochs"),
+    "top-level-variant": ({"variant": "gat"}, "'variant'"),
+    "misspelled-section": ({"modle": {"d": 16}}, "'modle'"),
+    "old-train-dropout": ({"train": {"dropout": 0.3}}, "train.dropout"),
+    "zero-heads": ({"model": {"gat_heads": 0}}, "heads"),
+    "negative-seed": ({"train": {"seed": -1}}, "seed"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +135,44 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "exceeds positional table 8" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("blob, named", BAD_CONFIGS.values(),
+                             ids=BAD_CONFIGS)
+    def test_bad_config_file_exit_2(self, workdir, tmp_path, capsys, blob,
+                                    named):
+        data = workdir / "data"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(blob))
+        code = run_cli(["train", "--train", str(data / "train.conll"),
+                        "--valid", str(data / "valid.conll"),
+                        "--out", str(tmp_path / "o"), "--preset", "copy",
+                        "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_json_types_accepted(self):
+        config = build_config(TrainConfig, {"learning_rate": 1,
+                                            "betas": [0.5, 0.6]}, "train")
+        assert config.learning_rate == 1
+        assert config.betas == (0.5, 0.6)
+
+    def test_config_json_round_trip(self, workdir, tmp_path):
+        """A run's config.json, fed back with --config, repeats the run."""
+        data = workdir / "data"
+        first, second = tmp_path / "first", tmp_path / "second"
+        common = ["train", "--train", str(data / "train.conll"),
+                  "--valid", str(data / "valid.conll")]
+        assert run_cli(common + ["--out", str(first), "--preset", "copy",
+                                 "--variant", "gat", "--epochs", "2"]) == 0
+        assert run_cli(common + ["--out", str(second), "--config",
+                                 str(first / "config.json")]) == 0
+        blob = json.loads((second / "config.json").read_text())
+        assert blob["model"]["variant"] == "gat"
+        for name in ("config.json", "history.jsonl"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 class TestEval:

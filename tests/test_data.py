@@ -137,7 +137,7 @@ class TestMakeBatches:
     def test_batch_count_and_sizes(self):
         corpus, tv, lv = self._small()
         batches = make_batches(corpus, 2, 128, tv, lv)
-        assert [b.size for b in batches] == [2, 2, 1]
+        assert [b.token_ids.shape[0] for b in batches] == [2, 2, 1]
 
     def test_truncation(self):
         corpus = [Sentence(["t"] * 200, ["O"] * 200)]

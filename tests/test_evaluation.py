@@ -39,10 +39,12 @@ class TestPredictCorpus:
         b = predict_corpus(model, sents, batch_size=20, max_len=16)
         assert a == b
 
-    def test_thread_count_invariance(self, setup):
+    def test_thread_count_invariance(self, setup, monkeypatch):
         model, sents = setup
-        a = predict_corpus(model, sents, batch_size=4, max_len=16, threads=1)
-        b = predict_corpus(model, sents, batch_size=4, max_len=16, threads=4)
+        monkeypatch.setenv("GRAPHFUSE_THREADS", "1")
+        a = predict_corpus(model, sents, batch_size=4, max_len=16)
+        monkeypatch.setenv("GRAPHFUSE_THREADS", "4")
+        b = predict_corpus(model, sents, batch_size=4, max_len=16)
         assert a == b
 
     def test_order_preserved_across_batches(self, setup):

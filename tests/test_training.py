@@ -174,7 +174,7 @@ class TestTrainLoop:
     def test_loss_decreases_and_history_shape(self):
         model, corpora = tiny_setup()
         cfg = TrainConfig(learning_rate=3e-3, epochs=4, batch_size=8,
-                          max_len=16, dropout=0.0, seed=0,
+                          max_len=16, seed=0,
                           early_stop_patience=10)
         result = train(model, corpora, cfg)
         assert len(result.history) == 4
@@ -187,7 +187,7 @@ class TestTrainLoop:
     def test_best_epoch_is_argmax_of_history(self):
         model, corpora = tiny_setup()
         cfg = TrainConfig(learning_rate=3e-3, epochs=4, batch_size=8,
-                          max_len=16, dropout=0.0, seed=1,
+                          max_len=16, seed=1,
                           early_stop_patience=10)
         result = train(model, corpora, cfg)
         best = max(result.history, key=lambda r: r["micro_f1"])
@@ -199,7 +199,7 @@ class TestTrainLoop:
         for _ in range(2):
             model, corpora = tiny_setup()
             cfg = TrainConfig(learning_rate=3e-3, epochs=2, batch_size=8,
-                              max_len=16, dropout=0.1, seed=3,
+                              max_len=16, seed=3,
                               early_stop_patience=10)
             histories.append(train(model, corpora, cfg).history_jsonl())
         assert histories[0] == histories[1]
@@ -208,7 +208,7 @@ class TestTrainLoop:
         model, corpora = tiny_setup()
         before = {k: v.data.copy() for k, v in model.parameters().items()}
         cfg = TrainConfig(learning_rate=0.0, weight_decay=0.0, epochs=1,
-                          batch_size=8, max_len=16, dropout=0.0, seed=0,
+                          batch_size=8, max_len=16, seed=0,
                           early_stop_patience=10)
         train(model, corpora, cfg)
         after = model.parameters()
@@ -220,7 +220,7 @@ class TestTrainLoop:
         # blow up an embedding so the first forward pass yields inf/nan
         model.encoder.embedding.data[:] = 1e200
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8,
-                          max_len=16, dropout=0.0, seed=0)
+                          max_len=16, seed=0)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError) as exc_info:
                 train(model, corpora, cfg)
@@ -231,7 +231,7 @@ class TestTrainLoop:
         # zero lr: micro-F1 never improves after epoch 1, so training stops
         # after patience more epochs
         cfg = TrainConfig(learning_rate=0.0, weight_decay=0.0, epochs=20,
-                          batch_size=8, max_len=16, dropout=0.0, seed=0,
+                          batch_size=8, max_len=16, seed=0,
                           early_stop_patience=2)
         result = train(model, corpora, cfg)
         assert len(result.history) == 3  # epoch 1 sets best, 2 more allowed
@@ -239,7 +239,7 @@ class TestTrainLoop:
     def test_best_params_restored(self):
         model, corpora = tiny_setup()
         cfg = TrainConfig(learning_rate=3e-3, epochs=3, batch_size=8,
-                          max_len=16, dropout=0.0, seed=5,
+                          max_len=16, seed=5,
                           early_stop_patience=10)
         result = train(model, corpora, cfg)
         from graphfuse.evaluation import evaluate
