@@ -184,7 +184,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s != ""]
+    except ValueError as exc:  # the message names the bad entry
+        raise ConfigError(f"--seeds: {exc}") from None
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
     model_over, train_over = _layered_config(args)

@@ -1,7 +1,9 @@
 """Corpus-level prediction and scoring against a frozen model.
 
-Evaluation is read-only, so batches may be scored in parallel; results are
-merged in batch order, which keeps the output independent of thread count.
+Sentences are stably sorted by truncated length before batching, so each
+batch pads little; attention cost grows with the square of a batch's longest
+sentence. Evaluation is read-only, so batches may be scored in parallel;
+results are returned in corpus order, independent of thread count.
 GRAPHFUSE_THREADS, the only thread control, caps the pool (default 1).
 """
 
@@ -9,6 +11,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .data import Corpus, make_batches
 from .errors import ConfigError
@@ -36,8 +40,12 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
     labels are never read, so unlabeled corpora work.
     """
     max_len = max_len or model.config.max_len
-    batches = make_batches(corpus, batch_size, max_len, model.token_vocab,
-                           model.label_vocab, rng=None, encode_labels=False)
+    lengths = np.minimum([len(s.tokens) for s in corpus], max_len)
+    order = np.argsort(lengths, kind="stable").tolist()
+    # a module-global lookup, so perfbench/tracing.py can wrap make_batches
+    batches = make_batches([corpus[i] for i in order], batch_size, max_len,
+                           model.token_vocab, model.label_vocab, rng=None,
+                           encode_labels=False)
     n = _thread_count()
     if n == 1 or len(batches) <= 1:
         id_rows = [model.predict_batch(b) for b in batches]
@@ -45,9 +53,10 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
         with ThreadPoolExecutor(max_workers=n) as pool:
             id_rows = list(pool.map(model.predict_batch, batches))
     decode = model.label_vocab.decode
-    out: list[list[str]] = []
-    for rows in id_rows:
-        out.extend([decode(i) for i in row] for row in rows)
+    out: list[list[str]] = [[] for _ in corpus]
+    rows = (row for batch_rows in id_rows for row in batch_rows)
+    for i, row in zip(order, rows):
+        out[i] = [decode(j) for j in row]
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ContractError
 from .graph import EdgeIndex
-from .layers import Linear, apply_dropout, key_padding_bias
+from .layers import Linear, apply_dropout
 from .rng import RngState
 from .tensor import Tensor
 
@@ -88,7 +88,7 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
 
     logits = T.leaky_relu(s_dst.reshape(B, h, n, 1) + s_src.reshape(B, h, 1, n),
                           params.negative_slope)                     # (B, h, dst, src)
-    alpha = T.softmax(logits + Tensor(key_padding_bias(mask)), axis=-1)
+    alpha = T.softmax(logits, axis=-1, key_mask=mask)
     if collect is not None:
         collect.append(alpha.data)
     alpha = apply_dropout(alpha, params.attn_dropout, rng, training)

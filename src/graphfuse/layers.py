@@ -18,8 +18,6 @@ from .errors import ConfigError
 from .rng import RngState
 from .tensor import Tensor
 
-MASK_NEG = -1e30  # additive mask; exp() underflows to exactly 0.0
-
 
 def glorot(rng: RngState, shape: tuple[int, ...]) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[-1]
@@ -88,11 +86,6 @@ class Attention:
         return out
 
 
-def key_padding_bias(key_mask: np.ndarray) -> np.ndarray:
-    """(B, n_k) boolean mask -> (B, 1, 1, n_k) additive bias, MASK_NEG at pads."""
-    return np.where(key_mask, 0.0, MASK_NEG)[:, None, None, :]
-
-
 def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
                          value: Tensor, key_mask: np.ndarray | None = None,
                          collect: list | None = None) -> Tensor:
@@ -115,9 +108,7 @@ def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
     k = split(params.k(key), n_k)
     v = split(params.v(value), n_k)
     scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    if key_mask is not None:
-        scores = scores + Tensor(key_padding_bias(key_mask))
-    weights = T.softmax(scores, axis=-1)
+    weights = T.softmax(scores, axis=-1, key_mask=key_mask)
     if collect is not None:
         collect.append(weights.data)
     mixed = T.transpose(T.matmul(weights, v), (0, 2, 1, 3)).reshape(B, n_q, d)

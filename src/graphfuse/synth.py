@@ -45,6 +45,8 @@ class TaskSpec:
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"task kind must be one of {KINDS}, got {self.kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if min(self.n_train, self.n_valid, self.n_test) < 1:
             raise ConfigError("all split sizes must be >= 1")
         if not 1 <= self.len_min <= self.len_max:

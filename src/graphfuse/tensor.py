@@ -20,6 +20,12 @@ Design notes
   closed-form backwards instead of being composed from smaller ops; the
   max-shift inside softmax/log-sum-exp is detached, which is exact because
   the shift cancels in the gradient.
+* ``softmax(x, key_mask=m)`` adds the key-padding bias (``MASK_NEG`` at
+  pads, the constant's one owner) inside the op: attention callers pass the
+  (B, n_k) mask instead of building a biased copy of the logits.
+* A backward closure never writes into the incoming ``g``: ``add`` hands the
+  same array to both parents, so it may be another node's pending gradient.
+  In-place work goes into a buffer the closure allocated itself.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import numpy as np
 from .errors import (ConfigError, ContractError, DegenerateBatchError,
                      ShapeMismatchError)
 from .rng import RngState
+
+MASK_NEG = -1e30  # additive key-padding bias; exp() underflows to exactly 0.0
 
 # per thread (and per asyncio task): threaded evaluation must not switch
 # grad mode off for the caller
@@ -322,16 +330,37 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- nonlinearities -----------------------------------------------------------
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis`` (max-shifted; shift is detached)."""
+def softmax(x, axis: int = -1, key_mask: np.ndarray | None = None) -> Tensor:
+    """Stable softmax along ``axis`` (max-shifted; shift is detached).
+
+    ``key_mask`` is a (B, n_k) boolean mask over the first and last axes of
+    ``x`` (True = real key); it needs ``axis=-1``. Masked keys get the
+    additive MASK_NEG bias inside the op, so they receive exactly zero
+    weight and the biased logits are never a graph node of their own.
+    """
     x = _ensure_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    if key_mask is None:
+        y = x.data - x.data.max(axis=axis, keepdims=True)
+    else:
+        shape = x.data.shape
+        if axis not in (-1, x.data.ndim - 1) or \
+                key_mask.shape != (shape[0], shape[-1]):
+            raise ShapeMismatchError(
+                f"key_mask {key_mask.shape} must cover the first and last "
+                f"axes of {shape} and softmax must run over the last")
+        bias = np.where(key_mask, 0.0, MASK_NEG)
+        y = x.data + bias.reshape(shape[0], *(1,) * (x.data.ndim - 2), shape[-1])
+        y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        # g may be shared with another parent (add hands one array to both)
+        t = g * y
+        dot = t.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=t)
+        t *= y
+        return (t,)
 
     return _make(y, (x,), bw)
 
@@ -341,11 +370,17 @@ def leaky_relu(x, negative_slope: float = 0.2) -> Tensor:
         raise ConfigError(f"leaky_relu slope must lie in (0,1), got {negative_slope}")
     x = _ensure_tensor(x)
     slope = float(negative_slope)
-    pos = x.data >= 0
-    out = np.where(pos, x.data, slope * x.data)
+    # max(x, slope*x) is x at x >= 0 and slope*x below, because 0 < slope < 1
+    out = x.data * slope
+    np.maximum(x.data, out, out=out)
 
     def bw(g):
-        return (g * np.where(pos, 1.0, slope),)
+        # the factor m·(1−slope)+slope is exactly 1.0 where m = 1, because
+        # fl(1−slope) is within 2⁻⁵⁴ of 1−slope, so the sum rounds to 1.0
+        dx = np.multiply(x.data >= 0, 1.0 - slope)
+        dx += slope
+        dx *= g
+        return (dx,)
 
     return _make(out, (x,), bw)
 
@@ -359,11 +394,16 @@ def relu(x) -> Tensor:
 def elu(x, alpha: float = 1.0) -> Tensor:
     """ELU: x for x > 0, alpha·(eˣ−1) otherwise. Grad is (y+alpha) below zero."""
     x = _ensure_tensor(x)
-    pos = x.data > 0
-    out = np.where(pos, x.data, alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0))
+    # alpha·(eˣ−1) is +0.0 where x >= 0 and max(x, 0) is ±0.0 where x <= 0,
+    # so the sum is exactly the two-branch form
+    out = np.minimum(x.data, 0.0)
+    np.exp(out, out=out)
+    out -= 1.0
+    out *= alpha
+    out += np.maximum(x.data, 0.0)
 
     def bw(g):
-        return (g * np.where(pos, 1.0, out + alpha),)
+        return (g * np.where(x.data > 0, 1.0, out + alpha),)
 
     return _make(out, (x,), bw)
 
@@ -406,7 +446,8 @@ def dropout_mask(shape, p: float, rng: RngState, training: bool) -> Tensor:
     if not training or p == 0.0:
         return Tensor(np.ones(shape))
     keep = rng.uniform(0.0, 1.0, shape) >= p
-    return Tensor(keep.astype(np.float64) / (1.0 - p))
+    # one pass; keep is 0 or 1, so this is bitwise keep / (1 - p)
+    return Tensor(np.multiply(keep, 1.0 / (1.0 - p)))
 
 
 # -- gather / scatter ---------------------------------------------------------

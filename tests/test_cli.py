@@ -56,6 +56,13 @@ class TestGenerate:
         b = (tmp_path / "train.conll").read_text()
         assert a == b
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        code = run_cli(["generate", "--task", "copy", "--out",
+                        str(tmp_path), "--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed must be >= 0" in err and "Traceback" not in err
+
 
 class TestTrain:
     def test_artifacts(self, workdir):
@@ -273,6 +280,13 @@ class TestAblate:
         assert len(summary) == 3
         variants = [l.split()[0] for l in summary]
         assert variants == ["encoder", "gat", "full"]
+
+    def test_non_integer_seed_exit_2(self, tmp_path, capsys):
+        code = run_cli(["ablate", "--out", str(tmp_path / "abl"),
+                        "--seeds", "a,b"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'a'" in err and "Traceback" not in err
 
 
 class TestUsage:

@@ -1,9 +1,11 @@
-"""Evaluation pipeline tests: batch merge order, threading, truncation."""
+"""Evaluation pipeline tests: length-sorted batching, corpus order, threading,
+truncation."""
 
 import numpy as np
 import pytest
 
-from graphfuse.data import build_label_vocab, build_token_vocab
+from graphfuse import tensor as T
+from graphfuse.data import build_label_vocab, build_token_vocab, make_batches
 from graphfuse.evaluation import evaluate, predict_corpus
 from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
@@ -43,9 +45,9 @@ class TestPredictCorpus:
         model, sents = setup
         monkeypatch.setenv("GRAPHFUSE_THREADS", "1")
         a = predict_corpus(model, sents, batch_size=4, max_len=16)
-        monkeypatch.setenv("GRAPHFUSE_THREADS", "4")
-        b = predict_corpus(model, sents, batch_size=4, max_len=16)
-        assert a == b
+        for threads in ("2", "4"):
+            monkeypatch.setenv("GRAPHFUSE_THREADS", threads)
+            assert predict_corpus(model, sents, batch_size=4, max_len=16) == a
 
     def test_order_preserved_across_batches(self, setup):
         model, sents = setup
@@ -53,6 +55,31 @@ class TestPredictCorpus:
         # ragged lengths identify each sentence's slot
         for sent, pred in zip(sents, preds):
             assert len(pred) == min(len(sent.tokens), 16)
+
+    @pytest.mark.parametrize("max_len", [16, 8])
+    def test_sorted_batches_match_corpus_order(self, setup, max_len):
+        model, sents = setup
+        assert len({min(len(s), max_len) for s in sents}) > 1
+
+        def logits_per_sentence(corpus):
+            with T.no_grad():
+                return [model.forward(b).data[i, :n]
+                        for b in make_batches(corpus, 4, max_len,
+                                              model.token_vocab,
+                                              model.label_vocab)
+                        for i, n in enumerate(b.lengths)]
+
+        order = sorted(range(len(sents)),
+                       key=lambda i: min(len(sents[i]), max_len))
+        plain = logits_per_sentence(sents)
+        by_length = logits_per_sentence([sents[i] for i in order])
+        for rank, i in enumerate(order):
+            np.testing.assert_allclose(by_length[rank], plain[i],
+                                       rtol=0, atol=1e-12)
+        decode = model.label_vocab.decode
+        want = [[decode(j) for j in np.argmax(x, axis=-1)] for x in plain]
+        assert predict_corpus(model, sents, batch_size=4,
+                              max_len=max_len) == want
 
 
 class TestEvaluate:

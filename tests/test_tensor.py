@@ -92,11 +92,47 @@ class TestSoftmax:
         fd = finite_difference(ref, [x.data])
         assert max_rel_err(x.grad, fd[0]) < 1e-6
 
+    def test_key_mask_bitwise_equals_added_bias(self):
+        rng = RngState(16)
+        logits = rng.normal((3, 2, 4, 5)) * 3.0
+        mask = np.array([[True, True, True, False, False],
+                         [True, False, False, False, False],  # one real key
+                         [True, True, True, True, True]])
+        w = rng.normal((3, 2, 4, 5))
+        bias = np.where(mask, 0.0, T.MASK_NEG)[:, None, None, :]
+
+        x_old = Tensor(logits.copy(), requires_grad=True)
+        y_old = T.softmax(x_old + Tensor(bias), axis=-1)
+        (y_old * w).sum().backward()
+        x_new = Tensor(logits.copy(), requires_grad=True)
+        y_new = T.softmax(x_new, axis=-1, key_mask=mask)
+        (y_new * w).sum().backward()
+
+        assert y_new.data.tobytes() == y_old.data.tobytes()
+        assert x_new.grad.tobytes() == x_old.grad.tobytes()
+        assert (y_new.data[1, :, :, 1:] == 0.0).all()
+        assert (y_new.data[1, :, :, 0] == 1.0).all()
+
+    def test_key_mask_shape_checked(self):
+        with pytest.raises(ShapeMismatchError):
+            T.softmax(Tensor(np.zeros((2, 3, 4))), key_mask=np.ones((2, 3), bool))
+
 
 class TestPointwise:
     def test_leaky_relu_values(self):
         out = T.leaky_relu(Tensor([0.0, -1.0, 2.0]), 0.2)
         np.testing.assert_allclose(out.data, [0.0, -0.2, 2.0])
+
+    @pytest.mark.parametrize("slope", [0.2, 0.01, 1 / 3, 0.7, 1 - 2**-52])
+    def test_leaky_relu_bitwise_equals_where(self, slope):
+        x = Tensor(np.array([-3.5, -1e-300, -0.0, 0.0, 1e-300, 2.25, -7.0]),
+                   requires_grad=True)
+        out = T.leaky_relu(x, slope)
+        want = np.where(x.data >= 0, x.data, slope * x.data)
+        assert out.data.tobytes() == want.tobytes()  # -0.0 keeps its sign bit
+        g = RngState(18).normal((7,))
+        (out * g).sum().backward()
+        assert x.grad.tobytes() == (g * np.where(x.data >= 0, 1.0, slope)).tobytes()
 
     def test_leaky_relu_grad_at_minus_two(self):
         x = Tensor([-2.0], requires_grad=True)
@@ -108,10 +144,10 @@ class TestPointwise:
             T.leaky_relu(Tensor([1.0]), 1.5)
 
     def test_elu_matches_definition(self):
-        x = np.array([-2.0, -0.5, 0.0, 0.7])
+        x = np.array([-2.0, -0.5, -0.0, 0.0, 1e-300, 0.7])
         out = T.elu(Tensor(x)).data
         want = np.where(x > 0, x, np.exp(x) - 1.0)
-        np.testing.assert_allclose(out, want, rtol=1e-12)
+        assert out.tobytes() == want.tobytes()
 
     def test_elu_grad(self):
         rng = RngState(4)
@@ -191,6 +227,11 @@ class TestDropoutMask:
             T.dropout_mask((2,), 1.0, RngState(0), training=True)
         with pytest.raises(ConfigError):
             T.dropout_mask((2,), -0.1, RngState(0), training=True)
+
+    def test_mask_is_scaled_keep_indicator(self):
+        m = T.dropout_mask((64,), 0.3, RngState(11), training=True)
+        keep = RngState(11).uniform(0.0, 1.0, (64,)) >= 0.3
+        assert m.data.tobytes() == (keep.astype(np.float64) / 0.7).tobytes()
 
     def test_deterministic_given_seed(self):
         a = T.dropout_mask((64,), 0.5, RngState(11), training=True)
@@ -312,6 +353,30 @@ class TestBackwardEngine:
             lambda: (((x.data @ w.data) * c.data) ** 2).sum(), [x.data, w.data])
         assert max_rel_err(x.grad, fd[0]) < 1e-6
         assert max_rel_err(w.grad, fd[1]) < 1e-6
+
+    @pytest.mark.parametrize("op", ["softmax", "masked_softmax", "leaky_relu",
+                                    "elu"])
+    def test_gradient_shared_by_add_stays_intact(self, op):
+        # add hands one array to both parents: op(z) must not write into it
+        # before z (the op's own input) has read its pending share
+        rng = RngState(17)
+        x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
+        w = rng.normal((2, 3, 4))
+        mask = np.array([[True, True, False, False], [True, True, True, True]])
+        fns = {"softmax": lambda z: T.softmax(z),
+               "masked_softmax": lambda z: T.softmax(z, key_mask=mask),
+               "leaky_relu": lambda z: T.leaky_relu(z),
+               "elu": lambda z: T.elu(z)}
+        fn = fns[op]
+        z = x * 2.0
+        (T.add(fn(z), z) * w).sum().backward()
+
+        def ref():
+            z = Tensor(x.data * 2.0)
+            return float(((fn(z).data + z.data) * w).sum())
+
+        fd = finite_difference(ref, [x.data])
+        assert max_rel_err(x.grad, fd[0]) < 1e-6
 
     @pytest.mark.parametrize("const_slot", [0, 1])
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "matmul"])
