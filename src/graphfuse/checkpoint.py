@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import uuid
+import zipfile
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +24,7 @@ from .rng import RngState
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 _PARAM_PREFIX = "param::"
+_META_FIELDS = {"format_version", "config", "token_vocab", "label_vocab"}
 
 
 def save_checkpoint(path: str, model: TokenClassifier) -> None:
@@ -50,30 +52,42 @@ def save_checkpoint(path: str, model: TokenClassifier) -> None:
 def load_checkpoint(path: str) -> TokenClassifier:
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
-    with np.load(path, allow_pickle=False) as blob:
-        if _META_KEY not in blob:
-            raise ConfigError(f"{path} is not a graphfuse checkpoint")
-        meta = json.loads(str(blob[_META_KEY][()]))
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version!r}")
-        config = build_config(ModelConfig, meta.get("config"), "checkpoint model")
-        token_vocab = TokenVocab.from_json(json.dumps(meta["token_vocab"]))
-        label_vocab = LabelVocab.from_json(json.dumps(meta["label_vocab"]))
-        model = TokenClassifier(config, token_vocab, label_vocab, RngState(0))
-        params = model.parameters()
-        stored = {k[len(_PARAM_PREFIX):] for k in blob.files
-                  if k.startswith(_PARAM_PREFIX)}
-        missing = sorted(set(params) - stored)
-        extra = sorted(stored - set(params))
-        if missing or extra:
-            raise ConfigError(
-                f"checkpoint/model parameter mismatch; missing {missing}, "
-                f"unexpected {extra}")
-        for name, p in params.items():
-            arr = blob[_PARAM_PREFIX + name]
-            if arr.shape != p.data.shape:
-                raise ConfigError(f"{name}: stored shape {arr.shape} != "
-                                  f"model shape {p.data.shape}")
-            p.data = arr.astype(np.float64, copy=True)
+    # read every entry up front, so a truncated file or a bad CRC is one
+    # error naming the path, not a zip error halfway through loading
+    try:
+        blob = np.load(path, allow_pickle=False)
+        if not isinstance(blob, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ConfigError(f"{path} is not an .npz archive")
+        with blob:
+            entries = {k: blob[k] for k in blob.files}
+        meta = json.loads(str(entries.pop(_META_KEY)[()])) \
+            if _META_KEY in entries else None
+    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        raise ConfigError(f"{path}: unreadable checkpoint ({exc})") from exc
+    if not isinstance(meta, dict) or set(meta) != _META_FIELDS:
+        raise ConfigError(f"{path} is not a graphfuse checkpoint: its metadata "
+                          f"must be an object with exactly the keys "
+                          f"{sorted(_META_FIELDS)}")
+    version = meta["format_version"]
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported checkpoint version {version!r}")
+    config = build_config(ModelConfig, meta["config"], "checkpoint model")
+    token_vocab = TokenVocab.from_mapping(meta["token_vocab"])
+    label_vocab = LabelVocab.from_mapping(meta["label_vocab"])
+    model = TokenClassifier(config, token_vocab, label_vocab, RngState(0))
+    params = model.parameters()
+    stored = {k[len(_PARAM_PREFIX):]: v for k, v in entries.items()
+              if k.startswith(_PARAM_PREFIX)}
+    missing = sorted(set(params) - set(stored))
+    extra = sorted(set(stored) - set(params))
+    if missing or extra:
+        raise ConfigError(
+            f"checkpoint/model parameter mismatch; missing {missing}, "
+            f"unexpected {extra}")
+    for name, p in params.items():
+        arr = stored[name]
+        if arr.shape != p.data.shape:
+            raise ConfigError(f"{name}: stored shape {arr.shape} != "
+                              f"model shape {p.data.shape}")
+        p.data = arr.astype(np.float64, copy=True)
     return model

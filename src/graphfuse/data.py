@@ -7,7 +7,6 @@ carries the ignore convention through to the loss.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
@@ -15,9 +14,9 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ParseError
 from .rng import RngState
+from .tensor import IGNORE_INDEX
 
 IGNORE_LABEL = "-100"
-IGNORE_ID = -100
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
@@ -79,6 +78,27 @@ def serialize_conll(corpus: Corpus) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
+def _ids_in_order(mapping, what: str, reserved: tuple[str, ...]) -> list[str]:
+    """Invert a name -> id mapping whose ids are exactly 0..n-1.
+
+    ``reserved`` names must hold the first ids, in order. Anything else,
+    including a non-dict, a non-string name or a bool id, is a ConfigError.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{what} must be an object, got {type(mapping).__name__}")
+    names: list[str | None] = [None] * len(mapping)
+    for name, idx in mapping.items():
+        if not isinstance(name, str) or type(idx) is not int \
+                or not 0 <= idx < len(names) or names[idx] is not None:
+            raise ConfigError(f"{what} must map names to the ids "
+                              f"0..{len(names) - 1} once each; got {name!r}: {idx!r}")
+        names[idx] = name
+    if tuple(names[:len(reserved)]) != reserved:
+        raise ConfigError(f"{what} must start with {list(reserved)}, "
+                          f"got {names[:len(reserved)]}")
+    return names
+
+
 class LabelVocab:
     """Bijective label <-> id map. O is always id 0; -100 stays -100.
 
@@ -96,28 +116,32 @@ class LabelVocab:
 
     def encode(self, label: str) -> int:
         if label == IGNORE_LABEL:
-            return IGNORE_ID
+            return IGNORE_INDEX
         try:
             return self.label_to_id[label]
         except KeyError:
             raise ContractError(f"unknown label {label!r}") from None
 
     def decode(self, idx: int) -> str:
-        if idx == IGNORE_ID:
+        if idx == IGNORE_INDEX:
             return IGNORE_LABEL
         return self.id_to_label[idx]
 
-    def to_json(self) -> str:
-        return json.dumps(self.label_to_id, ensure_ascii=False)
-
     @classmethod
-    def from_json(cls, payload: str) -> "LabelVocab":
-        mapping = json.loads(payload)
+    def from_mapping(cls, mapping) -> "LabelVocab":
+        """Rebuild a vocabulary from its ``label_to_id`` (e.g. a checkpoint's).
+
+        Raises ConfigError unless the ids are exactly 0..n-1 with O at id 0
+        and every label is O, B-TYPE or I-TYPE (never the ignore label).
+        """
+        labels = _ids_in_order(mapping, "label vocabulary", ("O",))
+        bad = [l for l in labels if l == IGNORE_LABEL or not _LABEL_RE.match(l)]
+        if bad:
+            raise ConfigError(f"label vocabulary holds {bad[0]!r}, which is "
+                              f"not O, B-TYPE or I-TYPE")
         vocab = cls.__new__(cls)
-        vocab.id_to_label = [None] * len(mapping)
-        for label, idx in mapping.items():
-            vocab.id_to_label[idx] = label
-        vocab.label_to_id = dict(mapping)
+        vocab.id_to_label = labels
+        vocab.label_to_id = {l: i for i, l in enumerate(labels)}
         return vocab
 
 
@@ -158,17 +182,17 @@ class TokenVocab:
     def encode(self, token: str) -> int:
         return self.token_to_id.get(token, self.unk_id)
 
-    def to_json(self) -> str:
-        return json.dumps(self.token_to_id, ensure_ascii=False)
-
     @classmethod
-    def from_json(cls, payload: str) -> "TokenVocab":
-        mapping = json.loads(payload)
+    def from_mapping(cls, mapping) -> "TokenVocab":
+        """Rebuild a vocabulary from its ``token_to_id`` (e.g. a checkpoint's).
+
+        Raises ConfigError unless the ids are exactly 0..n-1 with the pad
+        and unknown tokens at ids 0 and 1.
+        """
+        tokens = _ids_in_order(mapping, "token vocabulary", (PAD_TOKEN, UNK_TOKEN))
         vocab = cls.__new__(cls)
-        vocab.id_to_token = [None] * len(mapping)
-        for token, idx in mapping.items():
-            vocab.id_to_token[idx] = token
-        vocab.token_to_id = dict(mapping)
+        vocab.id_to_token = tokens
+        vocab.token_to_id = {t: i for i, t in enumerate(tokens)}
         return vocab
 
 
@@ -226,7 +250,7 @@ def make_batches(corpus: Corpus, batch_size: int, max_len: int,
         B = len(chunk)
         token_ids = np.zeros((B, n_max), dtype=np.int64)  # 0 == pad id
         mask = np.zeros((B, n_max), dtype=bool)
-        label_ids = np.full((B, n_max), IGNORE_ID, dtype=np.int64)
+        label_ids = np.full((B, n_max), IGNORE_INDEX, dtype=np.int64)
         for b, (sent, n) in enumerate(zip(chunk, lengths)):
             token_ids[b, :n] = [token_vocab.encode(t) for t in sent.tokens[:n]]
             mask[b, :n] = True

@@ -9,6 +9,10 @@ tolerance need the headroom).
 
 Design notes
 ------------
+* The module holds exactly the ops the three model variants (encoder,
+  gat, full) use, in training and in prediction. A new op comes in the
+  same change as its caller; ``tests/test_model.py`` fails when a public
+  function here is left unreached.
 * Gradients accumulate across ``backward`` calls until ``zero_grad``.
   Intermediate results keep ``.grad is None``.
 * A binary op's backward returns ``None`` for an operand that did not
@@ -74,10 +78,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -96,29 +96,14 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, k):
-        return pow_(self, k)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
@@ -131,9 +116,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
     def backward(self) -> None:
         backward(self)
@@ -180,18 +162,6 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    out = a.data - b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (_unbroadcast(g, a.data.shape) if need_a else None,
-                _unbroadcast(-g, b.data.shape) if need_b else None)
-
-    return _make(out, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     a, b = _ensure_tensor(a), _ensure_tensor(b)
     out = a.data * b.data
@@ -202,43 +172,6 @@ def mul(a, b) -> Tensor:
                 _unbroadcast(g * a.data, b.data.shape) if need_b else None)
 
     return _make(out, (a, b), bw)
-
-
-def div(a, b) -> Tensor:
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    out = a.data / b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (_unbroadcast(g / b.data, a.data.shape) if need_a else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-                if need_b else None)
-
-    return _make(out, (a, b), bw)
-
-
-def neg(a) -> Tensor:
-    a = _ensure_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
-def pow_(a, k: float) -> Tensor:
-    """Elementwise power with a constant scalar exponent."""
-    a = _ensure_tensor(a)
-    k = float(k)
-    out = a.data ** k
-    return _make(out, (a,), lambda g: (g * k * a.data ** (k - 1.0),))
-
-
-def exp(a) -> Tensor:
-    a = _ensure_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = _ensure_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def matmul(a, b) -> Tensor:
@@ -294,36 +227,14 @@ def swapaxes(a, i: int, j: int) -> Tensor:
 
 # -- reductions ---------------------------------------------------------------
 
-def _expand_reduced(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape).copy() if np.ndim(g) == 0 \
-            else np.broadcast_to(g.reshape(()), shape).copy()
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape).copy()
-
-
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _ensure_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        return (_expand_reduced(g, a.data.shape, axis, keepdims),)
-
-    return _make(out, (a,), bw)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _ensure_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else \
-        np.prod([a.data.shape[ax] for ax in
-                 (axis if isinstance(axis, tuple) else (axis,))])
-
-    def bw(g):
-        return (_expand_reduced(g, a.data.shape, axis, keepdims) / count,)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _make(out, (a,), bw)
 

@@ -40,6 +40,10 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.early_stop_patience}")
         if self.learning_rate < 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.eps <= 0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 1:
             raise ConfigError("epochs, batch_size and max_len must all be >= 1")
         if self.seed < 0:

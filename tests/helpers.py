@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from graphfuse.data import IGNORE_ID, Batch
+from graphfuse.data import Batch
 from graphfuse.rng import RngState
+from graphfuse.tensor import IGNORE_INDEX
 
 
 def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,
@@ -14,7 +15,7 @@ def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,
     B = len(lengths)
     token_ids = np.zeros((B, n_max), dtype=np.int64)
     mask = np.zeros((B, n_max), dtype=bool)
-    label_ids = np.full((B, n_max), IGNORE_ID, dtype=np.int64)
+    label_ids = np.full((B, n_max), IGNORE_INDEX, dtype=np.int64)
     for b, n in enumerate(lengths):
         token_ids[b, :n] = rng.integers(reserve_low_ids, vocab_size, (n,))
         mask[b, :n] = True

@@ -1,6 +1,8 @@
 """Checkpoint round-trip tests."""
 
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -55,8 +57,9 @@ class TestRoundTrip:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(str(path), model)
         loaded = load_checkpoint(str(path))
-        assert loaded.token_vocab.to_json() == model.token_vocab.to_json()
-        assert loaded.label_vocab.to_json() == model.label_vocab.to_json()
+        assert loaded.token_vocab.token_to_id == model.token_vocab.token_to_id
+        assert loaded.label_vocab.label_to_id == model.label_vocab.label_to_id
+        assert loaded.label_vocab.id_to_label == model.label_vocab.id_to_label
         assert loaded.config == model.config
 
     def test_exact_filename_no_suffix(self, setup, tmp_path):
@@ -89,7 +92,67 @@ class TestRoundTrip:
             assert np.array_equal(loaded[name].data, want), name
 
 
+def _edit_meta(edit):
+    def mutate(path):
+        blob = dict(np.load(path, allow_pickle=False))
+        blob["__meta__"] = np.array(json.dumps(edit(json.loads(str(blob["__meta__"])))))
+        with open(path, "wb") as fh:
+            np.savez(fh, **blob)
+    return mutate
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _flip_param_byte(path):
+    """Flip one byte inside the largest entry's stored data (bad CRC)."""
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = max(zf.infolist(), key=lambda i: i.compress_size)
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    data[info.header_offset + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _bare_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+# each must end in ConfigError (exit 2), not in a traceback or, for
+# pad-remapped and ignore-label-as-class, in a corrupted vocabulary that
+# loads silently
+CORRUPTIONS = {
+    "no-token-vocab": _edit_meta(
+        lambda m: {k: v for k, v in m.items() if k != "token_vocab"}),
+    "meta-is-list": _edit_meta(lambda m: list(m.values())),
+    "vocab-is-list": _edit_meta(
+        lambda m: {**m, "token_vocab": list(m["token_vocab"])}),
+    "label-id-out-of-range": _edit_meta(
+        lambda m: {**m, "label_vocab": {**m["label_vocab"], "B-ZZZ": 99}}),
+    "pad-remapped": _edit_meta(
+        lambda m: {**m, "token_vocab": {**m["token_vocab"], "<pad>": 2}}),
+    "ignore-label-as-class": _edit_meta(
+        lambda m: {**m, "label_vocab": {"O": 0, "-100": 1, **{
+            l: i for l, i in m["label_vocab"].items() if i > 1}}}),
+    "truncated": _truncate,
+    "bare-npy": _bare_npy,
+    "flipped-byte": _flip_param_byte,
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("mutate", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_corrupt_checkpoint(self, setup, tmp_path, mutate):
+        model, _ = setup
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(str(path), model)
+        mutate(path)
+        with pytest.raises(ConfigError):
+            load_checkpoint(str(path))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_checkpoint(str(tmp_path / "absent.npz"))

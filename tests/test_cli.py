@@ -27,6 +27,10 @@ BAD_CONFIGS = {
     "old-train-dropout": ({"train": {"dropout": 0.3}}, "train.dropout"),
     "zero-heads": ({"model": {"gat_heads": 0}}, "heads"),
     "negative-seed": ({"train": {"seed": -1}}, "seed"),
+    "zero-eps": ({"train": {"eps": 0}}, "eps must be positive"),
+    "negative-eps": ({"train": {"eps": -1}}, "eps must be positive"),
+    "negative-weight-decay": ({"train": {"weight_decay": -5}},
+                              "weight_decay must be >= 0"),
 }
 
 
@@ -216,6 +220,17 @@ class TestEval:
                         "--test", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "B-ZZZ" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exit_2(self, workdir, tmp_path, capsys):
+        blob = (workdir / "run" / "checkpoint.npz").read_bytes()
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(blob[:len(blob) // 2])
+        code = run_cli(["eval", "--checkpoint", str(cut),
+                        "--test", str(workdir / "data" / "test.conll"),
+                        "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(cut) in err and "Traceback" not in err
 
     def test_empty_test_file_exit_2(self, workdir, tmp_path):
         empty = tmp_path / "empty.conll"

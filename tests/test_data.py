@@ -1,13 +1,16 @@
 """Data-ingest tests: parsing, vocabularies, batching."""
 
+import json
+
 import numpy as np
 import pytest
 
-from graphfuse.data import (IGNORE_ID, LabelVocab, Sentence, TokenVocab,
+from graphfuse.data import (LabelVocab, Sentence, TokenVocab,
                             build_label_vocab, build_token_vocab,
                             make_batches, parse_conll, serialize_conll)
 from graphfuse.errors import ConfigError, ContractError, ParseError
 from graphfuse.rng import RngState
+from graphfuse.tensor import IGNORE_INDEX
 
 FIXTURE = """\
 Hà_Nội B-LOC
@@ -96,8 +99,8 @@ class TestLabelVocab:
         corpus = parse_conll("a O\nb -100\n")
         vocab = build_label_vocab(corpus)
         assert "-100" not in vocab.label_to_id
-        assert vocab.encode("-100") == IGNORE_ID
-        assert vocab.decode(IGNORE_ID) == "-100"
+        assert vocab.encode("-100") == IGNORE_INDEX
+        assert vocab.decode(IGNORE_INDEX) == "-100"
 
     def test_unknown_label_rejected(self):
         vocab = build_label_vocab(parse_conll("a O\n"))
@@ -106,7 +109,7 @@ class TestLabelVocab:
 
     def test_json_round_trip(self):
         vocab = build_label_vocab(parse_conll("a B-X\nb O\nc I-X\n"))
-        again = LabelVocab.from_json(vocab.to_json())
+        again = LabelVocab.from_mapping(json.loads(json.dumps(vocab.label_to_id)))
         assert again.label_to_id == vocab.label_to_id
         assert again.id_to_label == vocab.id_to_label
 
@@ -123,8 +126,22 @@ class TestTokenVocab:
 
     def test_json_round_trip(self):
         vocab = build_token_vocab(parse_conll("a O\nb O\n"))
-        again = TokenVocab.from_json(vocab.to_json())
+        again = TokenVocab.from_mapping(json.loads(json.dumps(vocab.token_to_id)))
         assert again.token_to_id == vocab.token_to_id
+        assert again.id_to_token == vocab.id_to_token
+
+
+# tests/test_checkpoint.py covers a non-object, a reused id and an id past n
+@pytest.mark.parametrize("cls, mapping", [
+    (LabelVocab, {"B-X": 0, "O": 1}),                 # O holds id 0
+    (TokenVocab, {"<unk>": 0, "<pad>": 1}),           # pad, unk hold ids 0, 1
+    (TokenVocab, {"<pad>": 0}),
+    (TokenVocab, {"<pad>": False, "<unk>": True}),    # bools are not ids
+    (TokenVocab, {"<pad>": 0, "<unk>": 1, "a": -1}),
+])
+def test_from_mapping_rejects(cls, mapping):
+    with pytest.raises(ConfigError):
+        cls.from_mapping(mapping)
 
 
 class TestMakeBatches:
@@ -151,11 +168,11 @@ class TestMakeBatches:
         corpus, tv, lv = self._small()
         for batch in make_batches(corpus, 3, 128, tv, lv):
             pad = ~batch.attention_mask
-            assert np.all(batch.label_ids[pad] == IGNORE_ID)
+            assert np.all(batch.label_ids[pad] == IGNORE_INDEX)
             assert np.all(batch.token_ids[pad] == tv.pad_id)
             for i, n in enumerate(batch.lengths):
                 assert batch.attention_mask[i, :n].all()
-                assert np.all(batch.label_ids[i, :n] != IGNORE_ID)
+                assert np.all(batch.label_ids[i, :n] != IGNORE_INDEX)
 
     def test_total_length_preserved(self):
         corpus, tv, lv = self._small()

@@ -1,8 +1,12 @@
 """Model assembly tests across the three variants."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
+from graphfuse import tensor as T
 from graphfuse.data import LabelVocab, Sentence, TokenVocab, make_batches
 from graphfuse.errors import ConfigError
 from graphfuse.model import ModelConfig, TokenClassifier
@@ -105,3 +109,26 @@ class TestForwardBackward:
                           variant="full")
         with pytest.raises(ConfigError):
             TokenClassifier(cfg, model.token_vocab, model.label_vocab, RngState(0))
+
+
+def test_every_tensor_op_is_reached():
+    """The autodiff core holds only ops that training or prediction uses."""
+    public = {name: inspect.unwrap(f).__code__ for name, f in vars(T).items()
+              if inspect.isfunction(f) and not name.startswith("_")
+              and f.__module__ == T.__name__}
+    worlds = [build_world(v, enc_layers=1) for v in ("encoder", "gat", "full")]
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for model, batches in worlds:
+            model.loss(batches[0], RngState(0), training=True).backward()
+            model.predict_batch(batches[0])
+    finally:
+        sys.setprofile(previous)
+    assert sorted(n for n, code in public.items() if code not in called) == []
