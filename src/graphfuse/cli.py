@@ -48,6 +48,15 @@ def _load_corpus(path: str):
     return parse_conll(_read_text(path))
 
 
+def _note_truncation(corpus, max_len: int, fate: str) -> None:
+    """Say on stderr how many sentences exceed max_len and lose their tail."""
+    tails = [len(s) - max_len for s in corpus if len(s) > max_len]
+    if tails:
+        print(f"note: {len(tails)} of {len(corpus)} sentences exceed max_len "
+              f"{max_len}; their {sum(tails)} tail tokens {fate}",
+              file=sys.stderr)
+
+
 def _layered_config(args) -> tuple[dict, dict]:
     """Merge preset -> config file -> flags into model/train override dicts."""
     layers = [get_preset(args.preset)] if args.preset else []
@@ -146,6 +155,7 @@ def cmd_eval(args) -> int:
               encoding="utf-8") as fh:
         fh.write(report.to_text())
     print(report.to_text(), end="")
+    _note_truncation(test_corpus, model.config.max_len, "are not scored")
     return 0
 
 
@@ -168,6 +178,7 @@ def cmd_predict(args) -> int:
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    _note_truncation(sentences, model.config.max_len, "are labelled O")
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -114,18 +115,17 @@ class LabelVocab:
     def __len__(self) -> int:
         return len(self.id_to_label)
 
-    def encode(self, label: str) -> int:
-        if label == IGNORE_LABEL:
-            return IGNORE_INDEX
-        try:
-            return self.label_to_id[label]
-        except KeyError:
-            raise ContractError(f"unknown label {label!r}") from None
+    def encode_all(self, labels, count: int = -1) -> np.ndarray:
+        """Ids of a label sequence as int64; the ignore label gives -100.
 
-    def decode(self, idx: int) -> str:
-        if idx == IGNORE_INDEX:
-            return IGNORE_LABEL
-        return self.id_to_label[idx]
+        ``count``, when known, sizes the array up front. Raises ContractError
+        naming the first label outside the vocabulary.
+        """
+        lookup = {**self.label_to_id, IGNORE_LABEL: IGNORE_INDEX}
+        try:
+            return np.fromiter(map(lookup.__getitem__, labels), np.int64, count)
+        except KeyError as exc:
+            raise ContractError(f"unknown label {exc.args[0]!r}") from None
 
     @classmethod
     def from_mapping(cls, mapping) -> "LabelVocab":
@@ -179,8 +179,13 @@ class TokenVocab:
     def unk_id(self) -> int:
         return 1
 
-    def encode(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
+    def encode_all(self, tokens, count: int = -1) -> np.ndarray:
+        """Ids of a token sequence as int64; unseen tokens give the UNK id.
+
+        ``count``, when known, sizes the array up front.
+        """
+        return np.fromiter(map(self.token_to_id.get, tokens,
+                               repeat(self.unk_id)), np.int64, count)
 
     @classmethod
     def from_mapping(cls, mapping) -> "TokenVocab":
@@ -230,33 +235,37 @@ def make_batches(corpus: Corpus, batch_size: int, max_len: int,
                  encode_labels: bool = True) -> list[Batch]:
     """Cut a corpus into padded batches.
 
-    Sentences longer than max_len are truncated. When ``rng`` is given the
-    sentence order is shuffled first; otherwise corpus order is kept. Each
-    batch is padded to its own longest sentence. ``encode_labels=False``
-    leaves every label id at -100 (prediction over unlabeled input).
+    Sentences longer than max_len are truncated. The whole corpus is encoded
+    in one pass into one padded matrix per field, and each batch takes its
+    rows from those. When ``rng`` is given the sentence order is shuffled
+    first; otherwise corpus order is kept. Each batch is padded to its own
+    longest sentence. ``encode_labels=False`` leaves every label id at -100
+    (prediction over unlabeled input).
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    order = list(range(len(corpus)))
-    if rng is not None:
-        order = [int(i) for i in rng.permutation(len(corpus))]
+    lengths = np.minimum(np.fromiter((len(s.tokens) for s in corpus),
+                                     np.int64, len(corpus)), max_len)
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    total = int(lengths.sum())
+    token_ids = np.zeros(mask.shape, dtype=np.int64)  # 0 == pad id
+    token_ids[mask] = token_vocab.encode_all(
+        chain.from_iterable(s.tokens[:max_len] for s in corpus), total)
+    label_ids = np.full(mask.shape, IGNORE_INDEX, dtype=np.int64)
+    if encode_labels:
+        label_ids[mask] = label_vocab.encode_all(
+            chain.from_iterable(s.labels[:max_len] for s in corpus), total)
+    order = (np.arange(len(corpus)) if rng is None
+             else rng.permutation(len(corpus)))
     batches = []
-    for start in range(0, len(order), batch_size):
-        chunk = [corpus[i] for i in order[start:start + batch_size]]
-        lengths = [min(len(s), max_len) for s in chunk]
-        n_max = max(lengths)
-        B = len(chunk)
-        token_ids = np.zeros((B, n_max), dtype=np.int64)  # 0 == pad id
-        mask = np.zeros((B, n_max), dtype=bool)
-        label_ids = np.full((B, n_max), IGNORE_INDEX, dtype=np.int64)
-        for b, (sent, n) in enumerate(zip(chunk, lengths)):
-            token_ids[b, :n] = [token_vocab.encode(t) for t in sent.tokens[:n]]
-            mask[b, :n] = True
-            if encode_labels:
-                label_ids[b, :n] = [label_vocab.encode(l) for l in sent.labels[:n]]
-        batches.append(Batch(token_ids, mask, label_ids, lengths))
+    for start in range(0, len(corpus), batch_size):
+        rows = order[start:start + batch_size]
+        row_lengths = lengths[rows].tolist()
+        n = max(row_lengths)
+        batches.append(Batch(token_ids[rows, :n], mask[rows, :n],
+                             label_ids[rows, :n], row_lengths))
     return batches
 
 

@@ -5,6 +5,8 @@ batch pads little; attention cost grows with the square of a batch's longest
 sentence. Evaluation is read-only, so batches may be scored in parallel;
 results are returned in corpus order, independent of thread count.
 GRAPHFUSE_THREADS, the only thread control, caps the pool (default 1).
+Tokens past max_len get no prediction here; the ``predict`` and ``eval``
+commands label them O or leave them unscored and say so in one stderr note.
 """
 
 from __future__ import annotations
@@ -36,10 +38,13 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
                    max_len: int | None = None) -> list[list[str]]:
     """Predicted label strings per sentence, in corpus order.
 
-    Sentences beyond max_len are truncated exactly as in training. Input
+    Sentences beyond max_len are truncated exactly as in training. The
+    length-sorted corpus is encoded in one make_batches pass, and argmax ids
+    become label strings by indexing ``label_vocab.id_to_label``. Input
     labels are never read, so unlabeled corpora work.
     """
-    max_len = max_len or model.config.max_len
+    if max_len is None:
+        max_len = model.config.max_len
     lengths = np.minimum([len(s.tokens) for s in corpus], max_len)
     order = np.argsort(lengths, kind="stable").tolist()
     # a module-global lookup, so perfbench/tracing.py can wrap make_batches
@@ -52,18 +57,19 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
     else:
         with ThreadPoolExecutor(max_workers=n) as pool:
             id_rows = list(pool.map(model.predict_batch, batches))
-    decode = model.label_vocab.decode
+    id_to_label = model.label_vocab.id_to_label.__getitem__
     out: list[list[str]] = [[] for _ in corpus]
     rows = (row for batch_rows in id_rows for row in batch_rows)
     for i, row in zip(order, rows):
-        out[i] = [decode(j) for j in row]
+        out[i] = list(map(id_to_label, row))
     return out
 
 
 def evaluate(model: TokenClassifier, corpus: Corpus, batch_size: int = 16,
              max_len: int | None = None) -> EvalReport:
     """Score model predictions against the corpus gold labels."""
-    max_len = max_len or model.config.max_len
+    if max_len is None:
+        max_len = model.config.max_len
     preds = predict_corpus(model, corpus, batch_size, max_len)
     golds = [s.labels[:max_len] for s in corpus]
     return score(golds, preds)

@@ -3,7 +3,8 @@
 Nothing in here imports from the package's numerics beyond the Tensor type
 itself: gradients come from central finite differences on the raw float64
 buffers, span/F1 references from a hand-written state machine, graph edges
-from brute-force enumeration. Tests compare the package against these.
+from brute-force enumeration, padded batches from a per-sentence loop. Tests
+compare the package against these.
 """
 
 from collections import namedtuple
@@ -166,3 +167,40 @@ def f1_reference(gold_spans_per_sent, pred_spans_per_sent):
     macro = (sum(prf(*per_type[t])[2] for t in gold_types) / len(gold_types)
              if gold_types else 0.0)
     return micro, macro, per_type
+
+
+ReferenceBatch = namedtuple("ReferenceBatch",
+                            "token_ids attention_mask label_ids lengths")
+
+
+def make_batches_reference(corpus, batch_size, max_len, token_vocab,
+                           label_vocab, rng=None, encode_labels=True):
+    """Padded batches built one sentence and one token at a time.
+
+    Same contract as ``graphfuse.data.make_batches``: truncate to max_len,
+    shuffle with one ``rng.permutation`` draw when rng is given, pad each
+    batch to its longest sentence with id 0 and label -100, and map unseen
+    tokens to id 1 and the label ``-100`` to -100.
+    """
+    order = list(range(len(corpus)))
+    if rng is not None:
+        order = [int(i) for i in rng.permutation(len(corpus))]
+    batches = []
+    for start in range(0, len(order), batch_size):
+        chunk = [corpus[i] for i in order[start:start + batch_size]]
+        lengths = [min(len(s.tokens), max_len) for s in chunk]
+        n_max = max(lengths)
+        B = len(chunk)
+        token_ids = np.zeros((B, n_max), dtype=np.int64)
+        mask = np.zeros((B, n_max), dtype=bool)
+        label_ids = np.full((B, n_max), -100, dtype=np.int64)
+        for b, (sent, n) in enumerate(zip(chunk, lengths)):
+            token_ids[b, :n] = [token_vocab.token_to_id.get(t, 1)
+                                for t in sent.tokens[:n]]
+            mask[b, :n] = True
+            if encode_labels:
+                label_ids[b, :n] = [-100 if l == "-100"
+                                    else label_vocab.label_to_id[l]
+                                    for l in sent.labels[:n]]
+        batches.append(ReferenceBatch(token_ids, mask, label_ids, lengths))
+    return batches

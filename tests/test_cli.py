@@ -232,6 +232,19 @@ class TestEval:
         assert code == 2
         assert str(cut) in err and "Traceback" not in err
 
+    def test_truncation_noted_on_stderr(self, workdir, tmp_path, capsys):
+        # the copy preset's max_len is 16; a 33-token sentence loses 17
+        long = tmp_path / "long.conll"
+        long.write_text("".join(f"t{i:02d} O\n" for i in range(33)))
+        code = run_cli(["eval", "--checkpoint",
+                        str(workdir / "run" / "checkpoint.npz"),
+                        "--test", str(long), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ("note: 1 of 1 sentences exceed max_len 16; their 17 "
+                       "tail tokens are not scored\n")
+        assert out == (tmp_path / "report.txt").read_text()
+
     def test_empty_test_file_exit_2(self, workdir, tmp_path):
         empty = tmp_path / "empty.conll"
         empty.write_text("")
@@ -262,6 +275,20 @@ class TestPredict:
         lines = [l for l in outs[0].splitlines() if l.strip()]
         assert len(lines) == n_tokens
         assert all(len(l.split()) == 2 for l in lines)
+
+    def test_truncation_noted_on_stderr(self, workdir, tmp_path, capsys):
+        src = tmp_path / "long.txt"
+        src.write_text("".join(f"t{i:02d}\n" for i in range(20)) + "\nt00\n")
+        code = run_cli(["predict", "--checkpoint",
+                        str(workdir / "run" / "checkpoint.npz"),
+                        "--input", str(src)])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == ("note: 1 of 2 sentences exceed max_len 16; their 4 "
+                       "tail tokens are labelled O\n")
+        blocks = out.split("\n\n")
+        assert [len(b.splitlines()) for b in blocks] == [20, 1]
+        assert all(l.endswith(" O") for l in blocks[0].splitlines()[16:])
 
     def test_empty_input(self, workdir, tmp_path):
         src = tmp_path / "empty.txt"

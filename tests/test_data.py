@@ -10,7 +10,10 @@ from graphfuse.data import (LabelVocab, Sentence, TokenVocab,
                             make_batches, parse_conll, serialize_conll)
 from graphfuse.errors import ConfigError, ContractError, ParseError
 from graphfuse.rng import RngState
+from graphfuse.synth import copy_spec, generate
 from graphfuse.tensor import IGNORE_INDEX
+
+from oracles import make_batches_reference
 
 FIXTURE = """\
 Hà_Nội B-LOC
@@ -73,7 +76,7 @@ class TestLabelVocab:
         corpus = parse_conll("a O\nb B-LOC\nc I-LOC\n")
         vocab = build_label_vocab(corpus)
         assert len(vocab) == 3
-        assert vocab.encode("O") == 0
+        assert vocab.encode_all(["O"]).tolist() == [0]
 
     def test_phoner_style_schema_size(self):
         # 10 entity types under BIO -> 20 labels plus O = 21
@@ -99,13 +102,14 @@ class TestLabelVocab:
         corpus = parse_conll("a O\nb -100\n")
         vocab = build_label_vocab(corpus)
         assert "-100" not in vocab.label_to_id
-        assert vocab.encode("-100") == IGNORE_INDEX
-        assert vocab.decode(IGNORE_INDEX) == "-100"
+        ids = vocab.encode_all(["-100", "O"])
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [IGNORE_INDEX, 0]
 
     def test_unknown_label_rejected(self):
         vocab = build_label_vocab(parse_conll("a O\n"))
-        with pytest.raises(ContractError):
-            vocab.encode("B-NOPE")
+        with pytest.raises(ContractError, match="B-NOPE"):
+            vocab.encode_all(["O", "B-NOPE"])
 
     def test_json_round_trip(self):
         vocab = build_label_vocab(parse_conll("a B-X\nb O\nc I-X\n"))
@@ -122,7 +126,9 @@ class TestTokenVocab:
 
     def test_unknown_maps_to_unk(self):
         vocab = build_token_vocab(parse_conll("a O\n"))
-        assert vocab.encode("never-seen") == vocab.unk_id
+        ids = vocab.encode_all(["a", "never-seen"])
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [vocab.token_to_id["a"], vocab.unk_id]
 
     def test_json_round_trip(self):
         vocab = build_token_vocab(parse_conll("a O\nb O\n"))
@@ -192,3 +198,62 @@ class TestMakeBatches:
             make_batches(corpus, 0, 128, tv, lv)
         with pytest.raises(ConfigError):
             make_batches(corpus, 2, 0, tv, lv)
+
+
+def _batching_corpus(kind):
+    """A corpus with unseen tokens, -100 labels and a zero-length sentence,
+    or a slice of generated copy data; vocabularies see every label but
+    only the first three sentences' tokens."""
+    if kind == "empty":
+        fixture = parse_conll(FIXTURE)
+        return [], build_token_vocab(fixture), build_label_vocab(fixture)
+    if kind == "copy":
+        corpus = generate(copy_spec(seed=4))["train"][:300]
+    else:
+        corpus = parse_conll(FIXTURE + "\nx O\n\ny O\nz B-LOC\n\n"
+                             "sub O\nword -100\nnew B-LOC\nthủ_đô O\n")
+        corpus.insert(2, Sentence([], []))
+    return corpus, build_token_vocab(corpus[:3]), build_label_vocab(corpus)
+
+
+@pytest.mark.parametrize("kind, batch_size, max_len, seed, encode_labels", [
+    ("small", 2, 128, None, True),     # in order, 7 rows: 2 does not divide
+    ("small", 2, 128, 3, True),        # shuffled
+    ("small", 3, 2, None, True),       # truncated below most lengths
+    ("small", 3, 2, 5, True),
+    ("small", 4, 128, None, False),    # unlabelled input
+    ("small", 4, 128, 7, False),
+    ("small", 1, 1, None, True),       # the empty sentence is a (1, 0) batch
+    ("small", 50, 128, 1, True),       # one batch larger than the corpus
+    ("empty", 4, 128, None, True),
+    ("empty", 4, 128, 2, True),
+    ("copy", 16, 16, 0, True),
+    ("copy", 16, 7, 1, True),
+    ("copy", 17, 7, None, False),
+])
+def test_make_batches_matches_reference(kind, batch_size, max_len, seed,
+                                        encode_labels):
+    corpus, tv, lv = _batching_corpus(kind)
+
+    def run(fn):
+        rng = None if seed is None else RngState(seed)
+        return fn(corpus, batch_size, max_len, tv, lv, rng=rng,
+                  encode_labels=encode_labels)
+
+    got, want = run(make_batches), run(make_batches_reference)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("token_ids", "attention_mask", "label_ids"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert g.lengths == w.lengths
+        assert all(type(n) is int for n in g.lengths)
+
+
+def test_make_batches_names_an_unknown_label():
+    corpus = parse_conll("a O\nb B-LOC\n\nc B-NOPE\n")
+    tv = build_token_vocab(corpus)
+    lv = build_label_vocab(corpus[:1])
+    with pytest.raises(ContractError, match="'B-NOPE'"):
+        make_batches(corpus, 2, 128, tv, lv)

@@ -6,6 +6,7 @@ import pytest
 
 from graphfuse import tensor as T
 from graphfuse.data import build_label_vocab, build_token_vocab, make_batches
+from graphfuse.errors import ConfigError
 from graphfuse.evaluation import evaluate, predict_corpus
 from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
@@ -76,8 +77,8 @@ class TestPredictCorpus:
         for rank, i in enumerate(order):
             np.testing.assert_allclose(by_length[rank], plain[i],
                                        rtol=0, atol=1e-12)
-        decode = model.label_vocab.decode
-        want = [[decode(j) for j in np.argmax(x, axis=-1)] for x in plain]
+        id_to_label = model.label_vocab.id_to_label
+        want = [[id_to_label[j] for j in np.argmax(x, axis=-1)] for x in plain]
         assert predict_corpus(model, sents, batch_size=4,
                               max_len=max_len) == want
 
@@ -96,3 +97,11 @@ class TestEvaluate:
         # same way or score() would raise a length mismatch
         report = evaluate(model, sents, batch_size=4, max_len=8)
         assert report.n_sentences == len(sents)
+
+    def test_zero_max_len_is_rejected(self, setup):
+        model, sents = setup
+        # 0 is a bad value, not "use the model's max_len"
+        with pytest.raises(ConfigError, match="max_len"):
+            predict_corpus(model, sents, batch_size=4, max_len=0)
+        with pytest.raises(ConfigError, match="max_len"):
+            evaluate(model, sents, batch_size=4, max_len=0)
