@@ -25,7 +25,7 @@ from .data import (
 )
 from .errors import (ConfigError, GraphFuseError, TrainingDivergedError,
                      VocabMismatchError)
-from .evaluation import evaluate, predict_corpus
+from .evaluation import evaluate, predict_corpus, truncation
 from .model import VARIANTS, ModelConfig, TokenClassifier, build_config
 from .presets import get_preset
 from .rng import RngState
@@ -50,10 +50,10 @@ def _load_corpus(path: str):
 
 def _note_truncation(corpus, max_len: int, fate: str) -> None:
     """Say on stderr how many sentences exceed max_len and lose their tail."""
-    tails = [len(s) - max_len for s in corpus if len(s) > max_len]
-    if tails:
-        print(f"note: {len(tails)} of {len(corpus)} sentences exceed max_len "
-              f"{max_len}; their {sum(tails)} tail tokens {fate}",
+    sentences, tokens = truncation(corpus, max_len)
+    if sentences:
+        print(f"note: {sentences} of {len(corpus)} sentences exceed max_len "
+              f"{max_len}; their {tokens} tail tokens {fate}",
               file=sys.stderr)
 
 

@@ -7,6 +7,7 @@ results are returned in corpus order, independent of thread count.
 GRAPHFUSE_THREADS, the only thread control, caps the pool (default 1).
 Tokens past max_len get no prediction here; the ``predict`` and ``eval``
 commands label them O or leave them unscored and say so in one stderr note.
+``evaluate`` counts them in its report.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ def _thread_count() -> int:
     if threads < 1:
         raise ConfigError(f"GRAPHFUSE_THREADS must be >= 1, got {threads}")
     return threads
+
+
+def truncation(corpus: Corpus, max_len: int) -> tuple[int, int]:
+    """How many sentences exceed max_len, and how many tokens lie past it."""
+    tails = [len(s) - max_len for s in corpus if len(s) > max_len]
+    return len(tails), sum(tails)
 
 
 def predict_corpus(model: TokenClassifier, corpus: Corpus,
@@ -67,9 +74,16 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
 
 def evaluate(model: TokenClassifier, corpus: Corpus, batch_size: int = 16,
              max_len: int | None = None) -> EvalReport:
-    """Score model predictions against the corpus gold labels."""
+    """Score model predictions against the corpus gold labels.
+
+    Tokens past max_len are not scored; the report counts them and their
+    sentences.
+    """
     if max_len is None:
         max_len = model.config.max_len
     preds = predict_corpus(model, corpus, batch_size, max_len)
     golds = [s.labels[:max_len] for s in corpus]
-    return score(golds, preds)
+    report = score(golds, preds)
+    report.n_truncated_sentences, report.n_unscored_tokens = \
+        truncation(corpus, max_len)
+    return report

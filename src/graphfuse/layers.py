@@ -36,7 +36,7 @@ class Linear:
                       Tensor(np.zeros(d_out), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.w) + self.b
+        return T.linear(x, self.w, self.b)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}

@@ -69,6 +69,8 @@ class EvalReport:
     token_accuracy: float
     n_sentences: int = 0
     n_gold_spans: int = 0
+    n_truncated_sentences: int = 0  # sentences longer than max_len
+    n_unscored_tokens: int = 0      # their tokens past max_len
 
     def to_json(self) -> str:
         payload = {
@@ -77,6 +79,8 @@ class EvalReport:
             "token_accuracy": self.token_accuracy,
             "n_sentences": self.n_sentences,
             "n_gold_spans": self.n_gold_spans,
+            "n_truncated_sentences": self.n_truncated_sentences,
+            "n_unscored_tokens": self.n_unscored_tokens,
             "per_entity": {
                 name: {"precision": s.precision, "recall": s.recall,
                        "f1": s.f1, "support": s.support}

@@ -12,7 +12,11 @@ different order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ContractError
 
 ALGORITHM = "philox4x64"
 
@@ -56,7 +60,17 @@ class RngState:
         return self._gen.choice(n, size=size, replace=replace)
 
     def bernoulli(self, p: float, shape=()) -> np.ndarray:
-        return (self._gen.uniform(0.0, 1.0, size=shape) < p)
+        """Boolean samples, True with probability p: exactly ``uniform(0, 1) < p``.
+
+        A uniform draw is k·2⁻⁵³, where k is the top 53 bits of one raw
+        64-bit word w. So ``u < p`` holds iff ``k < ceil(p·2⁵³)``, that is iff
+        ``w < ceil(p·2⁵³)·2¹¹``. The mask and the stream position afterwards
+        are those of the uniform draw, without the conversion to floats.
+        """
+        if not 0.0 <= p <= 1.0:
+            raise ContractError(f"bernoulli probability must lie in [0,1], got {p}")
+        raw = self._gen.bit_generator.random_raw(shape)
+        return raw < (math.ceil(p * 2**53) << 11)
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, algorithm={self.algorithm!r})"

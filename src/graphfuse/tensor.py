@@ -19,8 +19,16 @@ Design notes
   require grad when the op ran (dropout and padding masks, constant
   scales), so no product or reduction is spent on a gradient nobody reads.
 * Stochastic ops take an explicit :class:`~graphfuse.rng.RngState`.
+  Dropout keeps an element where ``RngState.bernoulli(p)`` is False. That
+  primitive compares raw 64-bit Philox words w with ``ceil(p·2⁵³)·2¹¹``: a
+  uniform draw is ``(w >> 11)·2⁻⁵³``, so the mask and the stream position
+  are bitwise those of ``uniform(0, 1) >= p``, at one comparison per element.
+* ``linear(x, w, b)`` is one node for ``x @ w + b``. Its weight gradient
+  folds the leading axes of x into one product, so it differs from a
+  separate matmul's batched product and sum by rounding only; the input and
+  bias gradients are bitwise those of matmul and add.
 * ``no_grad()`` suppresses graph construction (evaluation paths).
-* Fused primitives (softmax, layer_norm, masked_cross_entropy) carry
+* Fused primitives (linear, softmax, layer_norm, masked_cross_entropy) carry
   closed-form backwards instead of being composed from smaller ops; the
   max-shift inside softmax/log-sum-exp is detached, which is exact because
   the shift cancels in the gradient.
@@ -203,6 +211,35 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, as one node.
+
+    ``w`` is (d_in, d_out) and ``b`` is (d_out,). The leading axes of ``x``
+    fold into one 2-D product, so the weight gradient is one product as well
+    rather than a batched product summed over the batch.
+    """
+    x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
+    if w.data.ndim != 2 or x.data.ndim < 1 or \
+            x.data.shape[-1] != w.data.shape[0] or b.data.shape != w.data.shape[1:]:
+        raise ShapeMismatchError(
+            f"linear needs x (..., d_in), w (d_in, d_out) and b (d_out,), got "
+            f"{x.data.shape}, {w.data.shape} and {b.data.shape}")
+    d_in, d_out = w.data.shape
+    x2 = x.data.reshape(-1, d_in)
+    out = x2 @ w.data
+    out += b.data
+    need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
+
+    def bw(g):
+        # gx and gb keep g's leading axes, so they are bitwise the batched
+        # product and the reduction of a separate matmul and add
+        return (np.matmul(g, w.data.T) if need_x else None,
+                x2.T @ g.reshape(-1, d_out) if need_w else None,
+                _unbroadcast(g, b.data.shape) if need_b else None)
+
+    return _make(out.reshape(*x.data.shape[:-1], d_out), (x, w, b), bw)
+
+
 # -- shape ops ----------------------------------------------------------------
 
 def reshape(a, shape) -> Tensor:
@@ -356,7 +393,7 @@ def dropout_mask(shape, p: float, rng: RngState, training: bool) -> Tensor:
         raise ConfigError(f"dropout probability must lie in [0,1), got {p}")
     if not training or p == 0.0:
         return Tensor(np.ones(shape))
-    keep = rng.uniform(0.0, 1.0, shape) >= p
+    keep = ~rng.bernoulli(p, shape)
     # one pass; keep is 0 or 1, so this is bitwise keep / (1 - p)
     return Tensor(np.multiply(keep, 1.0 / (1.0 - p)))
 
@@ -367,13 +404,14 @@ def _scatter_add_rows(values: np.ndarray, rows: np.ndarray,
                       num_rows: int) -> np.ndarray:
     """Sum rows of ``values`` (E, K) into ``num_rows`` buckets, zeros if empty.
 
-    ``np.bincount`` adds in input order, so repeated indices accumulate
-    deterministically.
+    One ``np.bincount`` over the flat bins ``row·K + col``. It adds in input
+    order, so each bin sums its values in row order, exactly as a per-column
+    bincount would, and repeated indices accumulate deterministically.
     """
-    out = np.empty((num_rows, values.shape[1]), dtype=np.float64)
-    for k in range(values.shape[1]):
-        out[:, k] = np.bincount(rows, weights=values[:, k], minlength=num_rows)
-    return out
+    k = values.shape[1]
+    bins = (rows[:, None] * k + np.arange(k)).reshape(-1)
+    return np.bincount(bins, weights=values.reshape(-1),
+                       minlength=num_rows * k).reshape(num_rows, k)
 
 
 def gather_rows(x, indices) -> Tensor:
@@ -415,27 +453,28 @@ def masked_cross_entropy(logits: Tensor, label_ids: np.ndarray) -> Tensor:
     n_classes = logits.data.shape[-1]
     flat = logits.data.reshape(-1, n_classes)
     lab = labels.reshape(-1)
-    bad = (lab != IGNORE_INDEX) & ((lab < 0) | (lab >= n_classes))
+    valid = lab != IGNORE_INDEX
+    bad = valid & ((lab < 0) | (lab >= n_classes))
     if bad.any():
         raise ContractError(
             f"label id {lab[bad][0]} outside [0, {n_classes}) and not {IGNORE_INDEX}")
-    valid = lab != IGNORE_INDEX
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise DegenerateBatchError("all positions carry the ignore label")
 
     rows = flat[valid]
     shifted = rows - rows.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(n_valid), lab[valid]]
-    loss = np.float64((lse - picked).mean())
+    ex = np.exp(shifted)
+    total = ex.sum(axis=1, keepdims=True)
+    picked_at = (np.arange(n_valid), lab[valid])
+    loss = np.float64((np.log(total[:, 0]) - shifted[picked_at]).mean())
 
     def bw(g):
-        soft = np.exp(shifted)
-        soft /= soft.sum(axis=1, keepdims=True)
-        soft[np.arange(n_valid), lab[valid]] -= 1.0
+        soft = ex / total
+        soft[picked_at] -= 1.0
+        soft *= float(g) / n_valid
         dflat = np.zeros_like(flat)
-        dflat[valid] = soft * (float(g) / n_valid)
+        dflat[valid] = soft
         return (dflat.reshape(logits.data.shape),)
 
     return _make(np.asarray(loss), (logits,), bw)
@@ -481,9 +520,11 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if node._backward_fn is None:
+            # g + 0.0 is a buffer of the leaf's own, bitwise zeros + g
             if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+                node.grad = g + 0.0
+            else:
+                node.grad += g
             continue
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:

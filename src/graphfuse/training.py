@@ -1,5 +1,12 @@
 """AdamW trainer: linear warmup/decay, global-norm clipping, early stopping
 on validation micro-F1, deterministic given the seed.
+
+AdamW keeps its first and second moments in one flat buffer each, laid out
+on the first step with the weight-decayed parameters first. A step is a few
+vector operations over all parameters plus one in-place write per
+parameter, and is bitwise equal to a per-parameter loop because every
+element sees the same operations in the same order. ``OptState.m[name]`` and
+``OptState.v[name]`` are views into the buffers.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale gradients in place to a global L2 norm of max_norm; return the scale."""
     if max_norm <= 0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if total <= max_norm or total == 0.0:
         return 1.0
     scale = max_norm / total
@@ -82,12 +89,27 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
 
 
 class OptState:
-    """Per-parameter AdamW moment buffers plus the shared step counter."""
+    """Flat AdamW moment buffers, their layout and the shared step counter."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.step = 0
+        self.order: list[str] = []  # parameter names in buffer order
+        self.n_decayed = 0          # the first n_decayed names are decayed
+        self.flat_m = self.flat_v = np.zeros(0)
+
+    def lay_out(self, params: dict[str, Tensor]) -> None:
+        self.order = sorted(params, key=lambda name: not _decayed(name))
+        self.n_decayed = sum(map(_decayed, self.order))
+        total = sum(p.data.size for p in params.values())
+        self.flat_m, self.flat_v = np.zeros(total), np.zeros(total)
+        offset = 0
+        for name in self.order:
+            shape, size = params[name].data.shape, params[name].data.size
+            self.m[name] = self.flat_m[offset:offset + size].reshape(shape)
+            self.v[name] = self.flat_v[offset:offset + size].reshape(shape)
+            offset += size
 
 
 def _decayed(name: str) -> bool:
@@ -97,29 +119,45 @@ def _decayed(name: str) -> bool:
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                state: OptState, lr: float, config: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update, in place."""
+    """One decoupled-weight-decay Adam update, in place, over the flat moments."""
+    if not state.m:
+        state.lay_out(params)
+    if params.keys() != state.m.keys():
+        raise ContractError("adamw_step got other parameters than its state "
+                            "was laid out for")
+    for name, p in params.items():
+        if grads[name].shape != p.data.shape or state.m[name].shape != p.data.shape:
+            raise ContractError(f"{name}: grad {grads[name].shape} and moments "
+                                f"{state.m[name].shape} vs param {p.data.shape}")
     b1, b2 = config.betas
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ContractError(f"{name}: grad {g.shape} vs param {p.data.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-        if config.weight_decay and _decayed(name):
-            update = update + config.weight_decay * p.data
-        p.data -= lr * update
+    order = state.order
+    g = np.concatenate([grads[name].reshape(-1) for name in order])
+    m, v = state.flat_m, state.flat_v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    g *= g
+    g *= 1.0 - b2
+    v += g
+    update = v / bc2
+    np.sqrt(update, out=update)
+    update += config.eps
+    np.divide(m / bc1, update, out=update)
+    if config.weight_decay and state.n_decayed:
+        decay = np.concatenate([params[name].data.reshape(-1)
+                                for name in order[:state.n_decayed]])
+        decay *= config.weight_decay
+        update[:decay.size] += decay
+    update *= lr
+    offset = 0
+    for name in order:
+        p = params[name]
+        p.data -= update[offset:offset + p.data.size].reshape(p.data.shape)
+        offset += p.data.size
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Nothing in here imports from the package's numerics beyond the Tensor type
 itself: gradients come from central finite differences on the raw float64
 buffers, span/F1 references from a hand-written state machine, graph edges
-from brute-force enumeration, padded batches from a per-sentence loop. Tests
-compare the package against these.
+from brute-force enumeration, padded batches from a per-sentence loop, the
+embedding scatter from one bincount per column, AdamW from a per-parameter
+loop. Tests compare the package against these.
 """
 
 from collections import namedtuple
@@ -204,3 +205,37 @@ def make_batches_reference(corpus, batch_size, max_len, token_vocab,
                                     for l in sent.labels[:n]]
         batches.append(ReferenceBatch(token_ids, mask, label_ids, lengths))
     return batches
+
+
+def scatter_add_rows_reference(values, rows, num_rows):
+    """Sum rows of ``values`` (E, K) into ``num_rows`` buckets, one column at
+    a time; ``np.bincount`` adds each column's values in row order."""
+    out = np.empty((num_rows, values.shape[1]), dtype=np.float64)
+    for k in range(values.shape[1]):
+        out[:, k] = np.bincount(rows, weights=values[:, k], minlength=num_rows)
+    return out
+
+
+def adamw_step_reference(params, grads, state, lr, betas, eps, weight_decay):
+    """One AdamW update, one parameter at a time, in place.
+
+    ``params`` and ``grads`` map names to arrays. ``state`` is a dict that
+    starts empty and holds the step count and the moments. Names ending in
+    ``.b`` or containing ``.norm`` get no weight decay.
+    """
+    b1, b2 = betas
+    state["step"] = t = state.get("step", 0) + 1
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.setdefault(("m", name), np.zeros_like(p))
+        v = state.setdefault(("v", name), np.zeros_like(p))
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if weight_decay and not (name.endswith(".b") or ".norm" in name):
+            update = update + weight_decay * p
+        p -= lr * update

@@ -195,6 +195,7 @@ class TestEval:
         assert code == 0
         blob = json.loads((tmp_path / "report.json").read_text())
         assert "micro" in blob and "per_entity" in blob
+        assert blob["n_truncated_sentences"] == blob["n_unscored_tokens"] == 0
         text = (tmp_path / "report.txt").read_text()
         assert "support" in text
 
@@ -244,6 +245,9 @@ class TestEval:
         assert err == ("note: 1 of 1 sentences exceed max_len 16; their 17 "
                        "tail tokens are not scored\n")
         assert out == (tmp_path / "report.txt").read_text()
+        blob = json.loads((tmp_path / "report.json").read_text())
+        assert blob["n_truncated_sentences"] == 1
+        assert blob["n_unscored_tokens"] == 17
 
     def test_empty_test_file_exit_2(self, workdir, tmp_path):
         empty = tmp_path / "empty.conll"

@@ -97,6 +97,12 @@ class TestEvaluate:
         # same way or score() would raise a length mismatch
         report = evaluate(model, sents, batch_size=4, max_len=8)
         assert report.n_sentences == len(sents)
+        tails = [len(s) - 8 for s in sents if len(s) > 8]
+        assert tails
+        assert report.n_truncated_sentences == len(tails)
+        assert report.n_unscored_tokens == sum(tails)
+        full = evaluate(model, sents, batch_size=4, max_len=16)
+        assert full.n_truncated_sentences == full.n_unscored_tokens == 0
 
     def test_zero_max_len_is_rejected(self, setup):
         model, sents = setup

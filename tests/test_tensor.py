@@ -11,7 +11,8 @@ from graphfuse.errors import (ConfigError, ContractError,
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from oracles import finite_difference, max_rel_err
+from oracles import (finite_difference, max_rel_err,
+                     scatter_add_rows_reference)
 
 
 class TestMatmul:
@@ -53,6 +54,47 @@ class TestMatmul:
         assert "(2, 3)" in str(e.value) and "(4, 2)" in str(e.value)
         with pytest.raises(ShapeMismatchError):
             T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)])
+    def test_forward_matches_matmul_plus_bias(self, x_shape):
+        rng = RngState(2)
+        x, w, b = rng.normal(x_shape), rng.normal((5, 3)), rng.normal((3,))
+        got = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        want = T.add(T.matmul(Tensor(x), Tensor(w)), Tensor(b)).data
+        assert got.shape == want.shape == (*x_shape[:-1], 3)
+        assert max_rel_err(got, want) < 1e-12
+
+    @pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)])
+    def test_grads_match_finite_differences(self, x_shape):
+        rng = RngState(4)
+        x = Tensor(rng.normal(x_shape), requires_grad=True)
+        w = Tensor(rng.normal((5, 3)), requires_grad=True)
+        b = Tensor(rng.normal((3,)), requires_grad=True)
+        weights = rng.normal((*x_shape[:-1], 3))
+        (T.linear(x, w, b) * Tensor(weights)).sum().backward()
+        fd = finite_difference(
+            lambda: float(((x.data @ w.data + b.data) * weights).sum()),
+            [x.data, w.data, b.data])
+        for got, want in zip((x.grad, w.grad, b.grad), fd):
+            assert max_rel_err(got, want) < 1e-6
+
+    def test_constant_input_gets_no_gradient(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        w = Tensor(np.ones((4, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        out = T.linear(x, w, b)
+        assert out._backward_fn(np.ones((2, 3, 2)))[0] is None
+
+    def test_shape_errors_name_the_shapes(self):
+        with pytest.raises(ShapeMismatchError) as e:
+            T.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2))),
+                     Tensor(np.zeros(2)))
+        assert "(2, 4)" in str(e.value) and "(3, 2)" in str(e.value)
+        with pytest.raises(ShapeMismatchError):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))),
+                     Tensor(np.zeros(3)))
 
 
 class TestSoftmax:
@@ -421,6 +463,21 @@ class TestGatherScatter:
         want[0] = 1.0
         want[2] = 2.0
         np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("indices", [
+        [3, 0, 3, 3, 1, 0, 3], [], [2], list(range(5)) * 4])
+    @pytest.mark.parametrize("row_shape", [(3,), (2, 4)])
+    def test_gather_rows_grad_bitwise_equals_per_column_bincount(
+            self, indices, row_shape):
+        rng = RngState(6)
+        x = Tensor(rng.normal((5, *row_shape)), requires_grad=True)
+        upstream = rng.normal((len(indices), *row_shape), std=1e3)
+        (T.gather_rows(x, indices) * Tensor(upstream)).sum().backward()
+        cols = int(np.prod(row_shape))
+        want = scatter_add_rows_reference(
+            upstream.reshape(len(indices), cols),
+            np.asarray(indices, dtype=np.int64), 5)
+        assert x.grad.tobytes() == want.reshape(x.data.shape).tobytes()
 
     def test_gather_rows_bounds(self):
         with pytest.raises(ContractError):

@@ -19,6 +19,8 @@ from graphfuse.training import (
     train,
 )
 
+from oracles import adamw_step_reference
+
 
 class TestLrSchedule:
     def test_anchors(self):
@@ -146,6 +148,41 @@ class TestAdamW:
         with pytest.raises(ContractError):
             adamw_step({"w": p}, {"w": np.zeros(3)}, state, 0.1,
                        opt_config())
+
+    def test_other_parameters_than_laid_out_raise(self):
+        state = OptState()
+        adamw_step({"w": Tensor(np.zeros(2))}, {"w": np.ones(2)}, state, 0.1,
+                   opt_config())
+        with pytest.raises(ContractError):
+            adamw_step({"u": Tensor(np.zeros(2))}, {"u": np.ones(2)}, state,
+                       0.1, opt_config())
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_flat_update_bitwise_equals_per_parameter_reference(self, weight_decay):
+        """Five steps over decayed and exempt names, in an interleaved order."""
+        rng = RngState(3)
+        shapes = {"enc.embedding": (5, 2), "enc.proj.w": (2, 3),
+                  "enc.proj.b": (3,), "blk.norm1.gain": (3,),
+                  "blk.norm1.bias": (3,), "head.out.w": (3, 4),
+                  "head.out.b": (4,), "gat.a_src": (2, 1, 3)}
+        start = {name: rng.normal(shape) for name, shape in shapes.items()}
+        params = {name: Tensor(a.copy(), requires_grad=True)
+                  for name, a in start.items()}
+        ref = {name: a.copy() for name, a in start.items()}
+        state, ref_state = OptState(), {}
+        cfg = TrainConfig(weight_decay=weight_decay, betas=(0.9, 0.98),
+                          eps=1e-6)
+        for step, lr in enumerate([0.1, 0.05, 0.2, 0.01, 0.3]):
+            grads = {name: rng.normal(shape, std=10.0 ** (step - 2))
+                     for name, shape in shapes.items()}
+            adamw_step(params, grads, state, lr, cfg)
+            adamw_step_reference(ref, grads, ref_state, lr, cfg.betas,
+                                 cfg.eps, cfg.weight_decay)
+            for name in shapes:
+                assert params[name].data.tobytes() == ref[name].tobytes(), name
+                assert state.m[name].tobytes() == ref_state["m", name].tobytes()
+                assert state.v[name].tobytes() == ref_state["v", name].tobytes()
+        assert state.step == ref_state["step"] == 5
 
 
 def tiny_setup(n_train=24, n_valid=8, seed=0):
