@@ -144,7 +144,7 @@ def cmd_eval(args) -> int:
                     f"test label {lab!r} is not in the checkpoint's "
                     f"label vocabulary")
     report = evaluate(model, test_corpus,
-                      batch_size=args.batch_size or 16,
+                      batch_size=args.batch_size,
                       max_len=model.config.max_len)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w",
@@ -163,7 +163,7 @@ def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     sentences = parse_predict_input(_read_text(args.input))
     predictions = predict_corpus(model, sentences,
-                                 batch_size=args.batch_size or 16,
+                                 batch_size=args.batch_size,
                                  max_len=model.config.max_len)
     lines = []
     for sent, labels in zip(sentences, predictions):
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True, help="labeled CoNLL file")
     p.add_argument("--out", default=".", help="report directory")
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=16)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="label raw tokens with a checkpoint")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True,
                    help="token-per-line file; existing labels are ignored")
     p.add_argument("--output", default="-", help="output path or - (stdout)")
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=16)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("generate", help="write a synthetic task to disk")
@@ -319,8 +319,8 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (GraphFuseError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (GraphFuseError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

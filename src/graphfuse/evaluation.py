@@ -40,9 +40,8 @@ def truncation(corpus: Corpus, max_len: int) -> tuple[int, int]:
     return len(tails), sum(tails)
 
 
-def predict_corpus(model: TokenClassifier, corpus: Corpus,
-                   batch_size: int = 16,
-                   max_len: int | None = None) -> list[list[str]]:
+def predict_corpus(model: TokenClassifier, corpus: Corpus, batch_size: int,
+                   max_len: int) -> list[list[str]]:
     """Predicted label strings per sentence, in corpus order.
 
     Sentences beyond max_len are truncated exactly as in training. The
@@ -50,8 +49,6 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
     become label strings by indexing ``label_vocab.id_to_label``. Input
     labels are never read, so unlabeled corpora work.
     """
-    if max_len is None:
-        max_len = model.config.max_len
     lengths = np.minimum([len(s.tokens) for s in corpus], max_len)
     order = np.argsort(lengths, kind="stable").tolist()
     # a module-global lookup, so perfbench/tracing.py can wrap make_batches
@@ -72,15 +69,13 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus,
     return out
 
 
-def evaluate(model: TokenClassifier, corpus: Corpus, batch_size: int = 16,
-             max_len: int | None = None) -> EvalReport:
+def evaluate(model: TokenClassifier, corpus: Corpus, batch_size: int,
+             max_len: int) -> EvalReport:
     """Score model predictions against the corpus gold labels.
 
     Tokens past max_len are not scored; the report counts them and their
     sentences.
     """
-    if max_len is None:
-        max_len = model.config.max_len
     preds = predict_corpus(model, corpus, batch_size, max_len)
     golds = [s.labels[:max_len] for s in corpus]
     report = score(golds, preds)

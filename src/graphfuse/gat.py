@@ -29,9 +29,8 @@ class GatParams:
     a_dst: Tensor   # (heads, d_head) — pairs with W h_destination
     a_src: Tensor   # (heads, d_head) — pairs with W h_source
     proj: Linear    # heads*d_head -> d
-    negative_slope: float = 0.2
-    attn_dropout: float = 0.0
-    feat_dropout: float = 0.0
+    negative_slope: float
+    dropout: float  # on the attention weights and on the head outputs
 
     @property
     def n_heads(self) -> int:
@@ -43,8 +42,7 @@ class GatParams:
 
     @staticmethod
     def init(rng: RngState, d: int, hidden: int, heads: int,
-             negative_slope: float = 0.2, attn_dropout: float = 0.0,
-             feat_dropout: float = 0.0) -> "GatParams":
+             negative_slope: float = 0.2, dropout: float = 0.0) -> "GatParams":
         if hidden % heads != 0:
             raise ConfigError(f"hidden size {hidden} not divisible by {heads} heads")
         dh = hidden // heads
@@ -56,8 +54,7 @@ class GatParams:
             a_src=Tensor(rng.uniform(-a_lim, a_lim, (heads, dh)), requires_grad=True),
             proj=Linear.init(rng, hidden, d),
             negative_slope=negative_slope,
-            attn_dropout=attn_dropout,
-            feat_dropout=feat_dropout,
+            dropout=dropout,
         )
 
     def named(self, prefix: str = "gat") -> dict[str, Tensor]:
@@ -88,14 +85,14 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
 
     logits = T.leaky_relu(s_dst.reshape(B, h, n, 1) + s_src.reshape(B, h, 1, n),
                           params.negative_slope)                     # (B, h, dst, src)
-    alpha = T.softmax(logits, axis=-1, key_mask=mask)
+    alpha = T.softmax(logits, mask)
     if collect is not None:
         collect.append(alpha.data)
-    alpha = apply_dropout(alpha, params.attn_dropout, rng, training)
+    alpha = apply_dropout(alpha, params.dropout, rng, training)
 
     mixed = T.transpose(T.matmul(alpha, Wh), (0, 2, 1, 3))          # (B, n, h, dh)
     feats = T.elu(mixed).reshape(B, n, h * params.d_head)
-    feats = apply_dropout(feats, params.feat_dropout, rng, training)
+    feats = apply_dropout(feats, params.dropout, rng, training)
     return params.proj(feats) * mask[..., None]
 
 

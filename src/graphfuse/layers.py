@@ -4,6 +4,12 @@ Parameter containers are plain dataclasses of Tensors with a ``named``
 method so the model can assemble its flat name -> Tensor dictionary for the
 optimizer and the checkpoint. Naming matters: the optimizer skips weight
 decay for names ending in ``.b`` and names containing ``norm``.
+
+A block holds parameters only; what is fixed model-wide stays in
+``graphfuse.tensor`` (the layer-norm epsilon). Every attention call is
+masked, so ``multi_head_attention`` requires its (B, n_k) key mask, and
+``apply_dropout`` is the one place that skips dropout in eval mode or at
+p = 0.
 """
 
 from __future__ import annotations
@@ -46,15 +52,14 @@ class Linear:
 class LayerNorm:
     gain: Tensor
     bias: Tensor
-    eps: float = 1e-5
 
     @staticmethod
-    def init(d: int, eps: float = 1e-5) -> "LayerNorm":
+    def init(d: int) -> "LayerNorm":
         return LayerNorm(Tensor(np.ones(d), requires_grad=True),
-                         Tensor(np.zeros(d), requires_grad=True), eps)
+                         Tensor(np.zeros(d), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         # 'norm' in the prefix keeps both out of weight decay
@@ -87,7 +92,7 @@ class Attention:
 
 
 def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
-                         value: Tensor, key_mask: np.ndarray | None = None,
+                         value: Tensor, key_mask: np.ndarray,
                          collect: list | None = None) -> Tensor:
     """Scaled dot-product attention with key-side padding masking.
 
@@ -101,14 +106,14 @@ def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
     h = params.n_heads
     dh = d // h
 
-    def split(x: Tensor, n: int) -> Tensor:
-        return T.transpose(x.reshape(B, n, h, dh), (0, 2, 1, 3))
+    def split(x: Tensor, n: int, axes: tuple[int, ...]) -> Tensor:
+        return T.transpose(x.reshape(B, n, h, dh), axes)
 
-    q = split(params.q(query), n_q)
-    k = split(params.k(key), n_k)
-    v = split(params.v(value), n_k)
-    scores = T.matmul(q, T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    weights = T.softmax(scores, axis=-1, key_mask=key_mask)
+    q = split(params.q(query), n_q, (0, 2, 1, 3))   # (B, h, n_q, dh)
+    k_t = split(params.k(key), n_k, (0, 2, 3, 1))   # (B, h, dh, n_k)
+    v = split(params.v(value), n_k, (0, 2, 1, 3))   # (B, h, n_k, dh)
+    scores = T.matmul(q, k_t) * (1.0 / math.sqrt(dh))
+    weights = T.softmax(scores, key_mask)
     if collect is not None:
         collect.append(weights.data)
     mixed = T.transpose(T.matmul(weights, v), (0, 2, 1, 3)).reshape(B, n_q, d)
@@ -138,4 +143,4 @@ def apply_dropout(x: Tensor, p: float, rng: RngState | None, training: bool) -> 
     """Multiply by an inverted-dropout mask (no-op in eval or at p = 0)."""
     if not training or p == 0.0:
         return x
-    return x * T.dropout_mask(x.shape, p, rng, training)
+    return x * T.dropout_mask(x.shape, p, rng)

@@ -120,23 +120,9 @@ def build_config(cls, overrides, section: str, **derived):
     return config
 
 
-@dataclass
-class HeadParams:
-    out: Linear  # d -> L
-
-    @staticmethod
-    def init(rng: RngState, d: int, n_labels: int) -> "HeadParams":
-        if n_labels < 2:
-            raise ConfigError(f"need at least 2 labels, got {n_labels}")
-        return HeadParams(Linear.init(rng, d, n_labels))
-
-    def named(self, prefix: str = "head") -> dict[str, Tensor]:
-        return self.out.named(f"{prefix}.out")
-
-
-def classify(H_dec: Tensor, head: HeadParams) -> Tensor:
-    """Per-token affine map to label logits (no softmax; the loss wants logits)."""
-    return head.out(H_dec)
+def classify(H_dec: Tensor, head: Linear) -> Tensor:
+    """Per-token affine map d -> L to label logits (the loss wants logits)."""
+    return head(H_dec)
 
 
 class TokenClassifier:
@@ -163,12 +149,11 @@ class TokenClassifier:
         if c.variant in ("gat", "full"):
             self.gat = GatParams.init(
                 rng.split(), c.d, c.gat_hidden, c.gat_heads,
-                negative_slope=c.negative_slope,
-                attn_dropout=c.dropout, feat_dropout=c.dropout)
+                negative_slope=c.negative_slope, dropout=c.dropout)
         if c.variant == "full":
             self.decoder = DecoderParams.init(
                 rng.split(), c.d, c.dec_heads, c.dec_layers, c.dropout)
-        self.head = HeadParams.init(rng.split(), c.d, c.n_labels)
+        self.head = Linear.init(rng.split(), c.d, c.n_labels)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -179,7 +164,7 @@ class TokenClassifier:
             out.update(self.gat.named("gat"))
         if self.decoder is not None:
             out.update(self.decoder.named("decoder"))
-        out.update(self.head.named("head"))
+        out.update(self.head.named("head.out"))
         return out
 
     def zero_grad(self) -> None:

@@ -18,23 +18,30 @@ Design notes
 * A binary op's backward returns ``None`` for an operand that did not
   require grad when the op ran (dropout and padding masks, constant
   scales), so no product or reduction is spent on a gradient nobody reads.
+* Ops take only the arguments the model passes: a value that is the same
+  at every call site is a constant here (``LAYER_NORM_EPS``, ELU's alpha 1).
 * Stochastic ops take an explicit :class:`~graphfuse.rng.RngState`.
-  Dropout keeps an element where ``RngState.bernoulli(p)`` is False. That
-  primitive compares raw 64-bit Philox words w with ``ceil(p·2⁵³)·2¹¹``: a
-  uniform draw is ``(w >> 11)·2⁻⁵³``, so the mask and the stream position
-  are bitwise those of ``uniform(0, 1) >= p``, at one comparison per element.
+  ``dropout_mask`` always draws: eval mode and p = 0 are the caller's
+  early return (``layers.apply_dropout``). It keeps an element where
+  ``RngState.bernoulli(p)`` is False. That primitive compares raw 64-bit
+  Philox words w with ``ceil(p·2⁵³)·2¹¹``: a uniform draw is
+  ``(w >> 11)·2⁻⁵³``, so the mask and the stream position are bitwise those
+  of ``uniform(0, 1) >= p``, at one comparison per element.
 * ``linear(x, w, b)`` is one node for ``x @ w + b``. Its weight gradient
   folds the leading axes of x into one product, so it differs from a
   separate matmul's batched product and sum by rounding only; the input and
   bias gradients are bitwise those of matmul and add.
+* ``transpose(x, axes)`` is the one axis-permuting op; attention lays its
+  keys out as (B, h, dh, n_k) with a single call.
 * ``no_grad()`` suppresses graph construction (evaluation paths).
 * Fused primitives (linear, softmax, layer_norm, masked_cross_entropy) carry
   closed-form backwards instead of being composed from smaller ops; the
   max-shift inside softmax/log-sum-exp is detached, which is exact because
   the shift cancels in the gradient.
-* ``softmax(x, key_mask=m)`` adds the key-padding bias (``MASK_NEG`` at
-  pads, the constant's one owner) inside the op: attention callers pass the
-  (B, n_k) mask instead of building a biased copy of the logits.
+* ``softmax(x, key_mask)`` runs over the last axis and always takes the
+  (B, n_k) key mask, because every attention in the model is masked. It
+  adds the key-padding bias (``MASK_NEG`` at pads, the constant's one owner)
+  inside the op instead of building a biased copy of the logits.
 * A backward closure never writes into the incoming ``g``: ``add`` hands the
   same array to both parents, so it may be another node's pending gradient.
   In-place work goes into a buffer the closure allocated itself.
@@ -52,6 +59,7 @@ from .errors import (ConfigError, ContractError, DegenerateBatchError,
 from .rng import RngState
 
 MASK_NEG = -1e30  # additive key-padding bias; exp() underflows to exactly 0.0
+LAYER_NORM_EPS = 1e-5  # added to the variance in every layer_norm
 
 # per thread (and per asyncio task): threaded evaluation must not switch
 # grad mode off for the caller
@@ -116,12 +124,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
@@ -154,6 +156,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if keep:
         grad = grad.sum(axis=keep, keepdims=True)
     return grad.reshape(shape)
+
+
+def _matrix_t(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` with its last two axes exchanged (batched transpose)."""
+    return a.transpose(*range(a.ndim - 2), -1, -2)
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -203,9 +210,9 @@ def matmul(a, b) -> Tensor:
     def bw(g):
         ga = gb = None
         if need_a:
-            ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape)
+            ga = _unbroadcast(np.matmul(g, _matrix_t(b.data)), a.data.shape)
         if need_b:
-            gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape)
+            gb = _unbroadcast(np.matmul(_matrix_t(a.data), g), b.data.shape)
         return ga, gb
 
     return _make(out, (a, b), bw)
@@ -256,12 +263,6 @@ def transpose(a, axes) -> Tensor:
     return _make(out, (a,), lambda g: (g.transpose(inv),))
 
 
-def swapaxes(a, i: int, j: int) -> Tensor:
-    a = _ensure_tensor(a)
-    out = a.data.swapaxes(i, j)
-    return _make(out, (a,), lambda g: (g.swapaxes(i, j),))
-
-
 # -- reductions ---------------------------------------------------------------
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -278,34 +279,30 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- nonlinearities -----------------------------------------------------------
 
-def softmax(x, axis: int = -1, key_mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax along ``axis`` (max-shifted; shift is detached).
+def softmax(x, key_mask: np.ndarray) -> Tensor:
+    """Stable masked softmax over the last axis (max-shifted; shift detached).
 
     ``key_mask`` is a (B, n_k) boolean mask over the first and last axes of
-    ``x`` (True = real key); it needs ``axis=-1``. Masked keys get the
-    additive MASK_NEG bias inside the op, so they receive exactly zero
-    weight and the biased logits are never a graph node of their own.
+    ``x`` (True = real key). Masked keys get the additive MASK_NEG bias
+    inside the op, so they receive exactly zero weight and the biased logits
+    are never a graph node of their own.
     """
     x = _ensure_tensor(x)
-    if key_mask is None:
-        y = x.data - x.data.max(axis=axis, keepdims=True)
-    else:
-        shape = x.data.shape
-        if axis not in (-1, x.data.ndim - 1) or \
-                key_mask.shape != (shape[0], shape[-1]):
-            raise ShapeMismatchError(
-                f"key_mask {key_mask.shape} must cover the first and last "
-                f"axes of {shape} and softmax must run over the last")
-        bias = np.where(key_mask, 0.0, MASK_NEG)
-        y = x.data + bias.reshape(shape[0], *(1,) * (x.data.ndim - 2), shape[-1])
-        y -= y.max(axis=axis, keepdims=True)
+    shape = x.data.shape
+    if x.data.ndim < 2 or key_mask.shape != (shape[0], shape[-1]):
+        raise ShapeMismatchError(
+            f"key_mask {key_mask.shape} must cover the first and last "
+            f"axes of {shape}")
+    bias = np.where(key_mask, 0.0, MASK_NEG)
+    y = x.data + bias.reshape(shape[0], *(1,) * (x.data.ndim - 2), shape[-1])
+    y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bw(g):
         # g may be shared with another parent (add hands one array to both)
         t = g * y
-        dot = t.sum(axis=axis, keepdims=True)
+        dot = t.sum(axis=-1, keepdims=True)
         np.subtract(g, dot, out=t)
         t *= y
         return (t,)
@@ -339,27 +336,24 @@ def relu(x) -> Tensor:
     return _make(np.where(pos, x.data, 0.0), (x,), lambda g: (g * pos,))
 
 
-def elu(x, alpha: float = 1.0) -> Tensor:
-    """ELU: x for x > 0, alpha·(eˣ−1) otherwise. Grad is (y+alpha) below zero."""
+def elu(x) -> Tensor:
+    """ELU: x for x > 0, eˣ−1 otherwise. Grad is y+1 below zero."""
     x = _ensure_tensor(x)
-    # alpha·(eˣ−1) is +0.0 where x >= 0 and max(x, 0) is ±0.0 where x <= 0,
-    # so the sum is exactly the two-branch form
+    # eˣ−1 is +0.0 where x >= 0 and max(x, 0) is ±0.0 where x <= 0, so the
+    # sum is exactly the two-branch form
     out = np.minimum(x.data, 0.0)
     np.exp(out, out=out)
     out -= 1.0
-    out *= alpha
     out += np.maximum(x.data, 0.0)
 
     def bw(g):
-        return (g * np.where(x.data > 0, 1.0, out + alpha),)
+        return (g * np.where(x.data > 0, 1.0, out + 1.0),)
 
     return _make(out, (x,), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize over the last axis, then scale/shift by (gain, bias)."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x, gain, bias = _ensure_tensor(x), _ensure_tensor(gain), _ensure_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
@@ -369,7 +363,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     y = xhat * gain.data + bias.data
 
@@ -387,12 +381,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 # -- stochastic ---------------------------------------------------------------
 
-def dropout_mask(shape, p: float, rng: RngState, training: bool) -> Tensor:
-    """Inverted-dropout mask: Bernoulli(1−p)/(1−p) in training, ones in eval."""
+def dropout_mask(shape, p: float, rng: RngState) -> Tensor:
+    """Inverted-dropout mask: Bernoulli(1−p)/(1−p), exact ones at p = 0."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must lie in [0,1), got {p}")
-    if not training or p == 0.0:
-        return Tensor(np.ones(shape))
     keep = ~rng.bernoulli(p, shape)
     # one pass; keep is 0 or 1, so this is bitwise keep / (1 - p)
     return Tensor(np.multiply(keep, 1.0 / (1.0 - p)))

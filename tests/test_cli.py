@@ -33,6 +33,21 @@ BAD_CONFIGS = {
                               "weight_decay must be >= 0"),
 }
 
+# commands that hit an OS error, each of which must end in exit 2; {file} is
+# an existing regular file, so it can be neither a directory nor a parent
+OS_ERRORS = {
+    "train-out-is-a-file": [
+        "train", "--train", "{data}/train.conll", "--valid",
+        "{data}/valid.conll", "--out", "{file}", "--preset", "copy",
+        "--epochs", "1"],
+    "train-input-under-a-file": [
+        "train", "--train", "{file}/x.conll", "--valid",
+        "{data}/valid.conll", "--out", "{tmp}/o"],
+    "predict-output-under-a-file": [
+        "predict", "--checkpoint", "{run}/checkpoint.npz", "--input",
+        "{data}/test.conll", "--output", "{file}/out"],
+}
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -333,6 +348,31 @@ class TestAblate:
         err = capsys.readouterr().err
         assert code == 2
         assert "'a'" in err and "Traceback" not in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", OS_ERRORS.values(), ids=OS_ERRORS)
+    def test_os_error_exit_2(self, workdir, tmp_path, capsys, argv):
+        file = tmp_path / "plain.txt"
+        file.write_text("x\n")
+        paths = {"data": workdir / "data", "run": workdir / "run",
+                 "file": file, "tmp": tmp_path}
+        code = run_cli([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, source, sink", [
+        ("eval", "--test", "--out"), ("predict", "--input", "--output")])
+    def test_zero_batch_size_exit_2(self, workdir, tmp_path, capsys, command,
+                                    source, sink):
+        code = run_cli([command, "--checkpoint",
+                        str(workdir / "run" / "checkpoint.npz"),
+                        source, str(workdir / "data" / "test.conll"),
+                        sink, str(tmp_path / "out"), "--batch-size", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "batch_size must be >= 1" in err and "Traceback" not in err
 
 
 class TestUsage:

@@ -72,7 +72,7 @@ class TestGatForward:
                                    atol=1e-12)
 
     def test_alpha_sums_to_one_per_neighborhood(self):
-        params = make_params(seed=8, attn_dropout=0.3, feat_dropout=0.3)
+        params = make_params(seed=8, dropout=0.3)
         lengths = [4, 1, 6]
         mask = length_mask(lengths)
         H = Tensor(RngState(9).normal((3, 6, 6)) * 3)
@@ -161,7 +161,7 @@ class TestGatForward:
             assert max_rel_err(t.grad, want, floor=1e-7) < 1e-3, name
 
     def test_training_dropout_draws_are_seeded(self):
-        params = make_params(seed=20, attn_dropout=0.4, feat_dropout=0.4)
+        params = make_params(seed=20, dropout=0.4)
         H = Tensor(RngState(21).normal((1, 4, 6)))
         a = gat_forward(H, full_mask(1, 4), params, RngState(5), True).data
         b = gat_forward(H, full_mask(1, 4), params, RngState(5), True).data

@@ -8,6 +8,7 @@ import pytest
 from graphfuse import tensor as T
 from graphfuse.errors import (ConfigError, ContractError,
                               DegenerateBatchError, ShapeMismatchError)
+from graphfuse.layers import apply_dropout
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
@@ -97,27 +98,32 @@ class TestLinear:
                      Tensor(np.zeros(3)))
 
 
+def all_keys(shape):
+    """The all-True key mask over the first and last axes of ``shape``."""
+    return np.ones((shape[0], shape[-1]), dtype=bool)
+
+
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = T.softmax(Tensor([[0.0, 0.0, 0.0]]), all_keys((1, 3)))
+        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_shift_invariance(self):
-        x = np.array([0.3, 1.3, 2.3])
-        a = T.softmax(Tensor(x), axis=-1).data
-        b = T.softmax(Tensor(x + 50.0), axis=-1).data
+        x = np.array([[0.3, 1.3, 2.3]])
+        a = T.softmax(Tensor(x), all_keys(x.shape)).data
+        b = T.softmax(Tensor(x + 50.0), all_keys(x.shape)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_against_scalar_reference(self):
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         want = np.exp(x) / np.exp(x).sum()
-        np.testing.assert_allclose(T.softmax(Tensor(x), axis=-1).data, want,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(T.softmax(Tensor(x), all_keys(x.shape)).data,
+                                   want, rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = RngState(2)
         x = rng.normal((7, 11)) * 30.0
-        y = T.softmax(Tensor(x), axis=-1).data
+        y = T.softmax(Tensor(x), all_keys(x.shape)).data
         np.testing.assert_allclose(y.sum(axis=-1), np.ones(7), atol=1e-9)
         assert (y > 0).all()
 
@@ -126,7 +132,7 @@ class TestSoftmax:
         x = Tensor(rng.normal((3, 4)), requires_grad=True)
         w = rng.normal((3, 4))  # fixed projection so the loss is non-trivial
 
-        (T.softmax(x, axis=-1) * w).sum().backward()
+        (T.softmax(x, all_keys(x.shape)) * w).sum().backward()
 
         def ref():
             e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
@@ -145,10 +151,10 @@ class TestSoftmax:
         bias = np.where(mask, 0.0, T.MASK_NEG)[:, None, None, :]
 
         x_old = Tensor(logits.copy(), requires_grad=True)
-        y_old = T.softmax(x_old + Tensor(bias), axis=-1)
+        y_old = T.softmax(x_old + Tensor(bias), all_keys(logits.shape))
         (y_old * w).sum().backward()
         x_new = Tensor(logits.copy(), requires_grad=True)
-        y_new = T.softmax(x_new, axis=-1, key_mask=mask)
+        y_new = T.softmax(x_new, mask)
         (y_new * w).sum().backward()
 
         assert y_new.data.tobytes() == y_old.data.tobytes()
@@ -158,7 +164,9 @@ class TestSoftmax:
 
     def test_key_mask_shape_checked(self):
         with pytest.raises(ShapeMismatchError):
-            T.softmax(Tensor(np.zeros((2, 3, 4))), key_mask=np.ones((2, 3), bool))
+            T.softmax(Tensor(np.zeros((2, 3, 4))), np.ones((2, 3), bool))
+        with pytest.raises(ShapeMismatchError):
+            T.softmax(Tensor(np.zeros(3)), np.ones((3, 3), bool))
 
 
 class TestPointwise:
@@ -212,14 +220,14 @@ class TestPointwise:
 class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
         x = Tensor(np.full((2, 4), 3.5))
-        out = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), 1e-5)
+        out = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, np.zeros((2, 4)), atol=1e-12)
 
     def test_output_mean_is_bias(self):
         rng = RngState(5)
         x = Tensor(rng.normal((3, 6)) * 4.0)
         bias = Tensor(np.full(6, 0.25))
-        out = T.layer_norm(x, Tensor(np.ones(6)), bias, 1e-8)
+        out = T.layer_norm(x, Tensor(np.ones(6)), bias)
         np.testing.assert_allclose(out.data.mean(axis=-1), np.full(3, 0.25),
                                    atol=1e-6)
 
@@ -230,12 +238,12 @@ class TestLayerNorm:
         bias = Tensor(rng.normal((4,)), requires_grad=True)
         w = rng.normal((2, 4))
 
-        (T.layer_norm(x, gain, bias, 1e-5) * w).sum().backward()
+        (T.layer_norm(x, gain, bias) * w).sum().backward()
 
         def ref():
             mu = x.data.mean(-1, keepdims=True)
             var = x.data.var(-1, keepdims=True)
-            xh = (x.data - mu) / np.sqrt(var + 1e-5)
+            xh = (x.data - mu) / np.sqrt(var + T.LAYER_NORM_EPS)
             return ((xh * gain.data + bias.data) * w).sum()
 
         fd = finite_difference(ref, [x.data, gain.data, bias.data])
@@ -246,20 +254,21 @@ class TestLayerNorm:
     def test_affine_shape_check(self):
         with pytest.raises(ShapeMismatchError):
             T.layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)),
-                         Tensor(np.zeros(4)), 1e-5)
+                         Tensor(np.zeros(4)))
 
 
 class TestDropoutMask:
     def test_p_zero_is_ones(self):
-        m = T.dropout_mask((5, 5), 0.0, RngState(0), training=True)
+        m = T.dropout_mask((5, 5), 0.0, RngState(0))
         np.testing.assert_array_equal(m.data, np.ones((5, 5)))
 
     def test_eval_mode_is_ones(self):
-        m = T.dropout_mask((5, 5), 0.9, RngState(0), training=False)
-        np.testing.assert_array_equal(m.data, np.ones((5, 5)))
+        # eval mode skips the mask: apply_dropout hands back its input
+        x = Tensor(np.ones((5, 5)))
+        assert apply_dropout(x, 0.9, RngState(0), training=False) is x
 
     def test_keep_rate(self):
-        m = T.dropout_mask((100_000,), 0.3, RngState(7), training=True)
+        m = T.dropout_mask((100_000,), 0.3, RngState(7))
         keep = float((m.data > 0).mean())
         assert abs(keep - 0.7) < 0.01
         # inverted scaling: surviving entries are 1/(1-p)
@@ -267,18 +276,18 @@ class TestDropoutMask:
 
     def test_invalid_p(self):
         with pytest.raises(ConfigError):
-            T.dropout_mask((2,), 1.0, RngState(0), training=True)
+            T.dropout_mask((2,), 1.0, RngState(0))
         with pytest.raises(ConfigError):
-            T.dropout_mask((2,), -0.1, RngState(0), training=True)
+            T.dropout_mask((2,), -0.1, RngState(0))
 
     def test_mask_is_scaled_keep_indicator(self):
-        m = T.dropout_mask((64,), 0.3, RngState(11), training=True)
+        m = T.dropout_mask((64,), 0.3, RngState(11))
         keep = RngState(11).uniform(0.0, 1.0, (64,)) >= 0.3
         assert m.data.tobytes() == (keep.astype(np.float64) / 0.7).tobytes()
 
     def test_deterministic_given_seed(self):
-        a = T.dropout_mask((64,), 0.5, RngState(11), training=True)
-        b = T.dropout_mask((64,), 0.5, RngState(11), training=True)
+        a = T.dropout_mask((64,), 0.5, RngState(11))
+        b = T.dropout_mask((64,), 0.5, RngState(11))
         assert a.data.tobytes() == b.data.tobytes()
 
 
@@ -417,8 +426,8 @@ class TestBackwardEngine:
         x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
         w = rng.normal((2, 3, 4))
         mask = np.array([[True, True, False, False], [True, True, True, True]])
-        fns = {"softmax": lambda z: T.softmax(z),
-               "masked_softmax": lambda z: T.softmax(z, key_mask=mask),
+        fns = {"softmax": lambda z: T.softmax(z, all_keys(z.shape)),
+               "masked_softmax": lambda z: T.softmax(z, mask),
                "leaky_relu": lambda z: T.leaky_relu(z),
                "elu": lambda z: T.elu(z)}
         fn = fns[op]
