@@ -8,6 +8,7 @@ defaults, --preset, --config JSON file, individual flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -110,10 +111,10 @@ def cmd_train(args) -> int:
                                 n_labels=len(label_vocab))
     model = TokenClassifier(model_config, token_vocab, label_vocab,
                             RngState(train_config.seed))
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before training
     result = train(model, {"train": train_corpus, "valid": valid_corpus},
                    train_config)
 
-    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.npz"), model)
     with open(os.path.join(args.out, "history.jsonl"), "w",
               encoding="utf-8") as fh:
@@ -143,10 +144,10 @@ def cmd_eval(args) -> int:
                 raise VocabMismatchError(
                     f"test label {lab!r} is not in the checkpoint's "
                     f"label vocabulary")
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before scoring
     report = evaluate(model, test_corpus,
                       batch_size=args.batch_size,
                       max_len=model.config.max_len)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w",
               encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -162,22 +163,20 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
     sentences = parse_predict_input(_read_text(args.input))
-    predictions = predict_corpus(model, sentences,
-                                 batch_size=args.batch_size,
-                                 max_len=model.config.max_len)
-    lines = []
-    for sent, labels in zip(sentences, predictions):
-        # sentences longer than the model's max_len keep their tail tokens,
-        # labeled O, so output line count always equals input token count
-        padded = list(labels) + ["O"] * (len(sent.tokens) - len(labels))
-        lines.extend(f"{tok} {lab}" for tok, lab in zip(sent.tokens, padded))
-        lines.append("")
-    text = "\n".join(lines[:-1]) + "\n" if lines else ""
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # opened first, so a bad --output fails before predicting
+    with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+          else open(args.output, "w", encoding="utf-8")) as fh:
+        predictions = predict_corpus(model, sentences,
+                                     batch_size=args.batch_size,
+                                     max_len=model.config.max_len)
+        lines = []
+        for sent, labels in zip(sentences, predictions):
+            # sentences longer than the model's max_len keep their tail
+            # tokens, labeled O, so output line count equals input token count
+            padded = list(labels) + ["O"] * (len(sent.tokens) - len(labels))
+            lines.extend(f"{tok} {lab}" for tok, lab in zip(sent.tokens, padded))
+            lines.append("")
+        fh.write("\n".join(lines[:-1]) + "\n" if lines else "")
     _note_truncation(sentences, model.config.max_len, "are labelled O")
     return 0
 

@@ -32,8 +32,6 @@ class DecoderLayerParams:
 
     @staticmethod
     def init(rng: RngState, d: int, n_heads: int) -> "DecoderLayerParams":
-        if d % n_heads != 0:
-            raise ConfigError(f"decoder width {d} not divisible by {n_heads} heads")
         return DecoderLayerParams(
             Attention.init(rng, d, n_heads), Attention.init(rng, d, n_heads),
             FeedForward.init(rng, d, 4 * d),

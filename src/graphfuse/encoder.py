@@ -83,7 +83,7 @@ class EncoderParams:
 
 
 def encode(batch: Batch, params: EncoderParams, rng: RngState | None,
-           training: bool, collect: dict | None = None) -> Tensor:
+           training: bool) -> Tensor:
     """Contextual embeddings H with shape (B, n_max, d).
 
     Padded positions flow through position-wise ops but are excluded from
@@ -104,9 +104,8 @@ def encode(batch: Batch, params: EncoderParams, rng: RngState | None,
     x = x + Tensor(params.positional[:n])
     x = apply_dropout(x, params.dropout, rng, training)
     for block in params.blocks:
-        coll = collect.setdefault("enc_attn", []) if collect is not None else None
         attn = multi_head_attention(block.attn, x, x, x,
-                                    key_mask=batch.attention_mask, collect=coll)
+                                    key_mask=batch.attention_mask)
         x = block.norm1(x + apply_dropout(attn, params.dropout, rng, training))
         ff = block.ff(x)
         x = block.norm2(x + apply_dropout(ff, params.dropout, rng, training))

@@ -4,7 +4,17 @@ Sentences are stably sorted by truncated length before batching, so each
 batch pads little; attention cost grows with the square of a batch's longest
 sentence. Evaluation is read-only, so batches may be scored in parallel;
 results are returned in corpus order, independent of thread count.
-GRAPHFUSE_THREADS, the only thread control, caps the pool (default 1).
+GRAPHFUSE_THREADS caps the pool (default 1). The pool helps only when BLAS
+is pinned to one thread, at paper width, where numpy releases the GIL in
+large products. Time of 2 threads over 1 for ``predict_corpus`` (batch 16,
+best of 3 per side, median of 10 alternating pairs, 2 vCPUs, numpy 2.4 with
+OpenBLAS 0.3.31) on 96 test sentences:
+
+* ``full`` at ``phoner`` dims (d=256), relational-match data, BLAS pinned
+  to 1 thread: 0.56 (171-290 ms against 302-346 ms), faster in 10 of 10;
+* the same with BLAS at its default thread count: 1.02, faster in 5 of 10;
+* BLAS pinned, ``relational`` preset (d=32), ``full``: 1.03, faster in 4
+  of 10; ``copy`` preset, ``encoder``: 2.29, faster in 0 of 10.
 Tokens past max_len get no prediction here; the ``predict`` and ``eval``
 commands label them O or leave them unscored and say so in one stderr note.
 ``evaluate`` counts them in its report.

@@ -29,7 +29,6 @@ class GatParams:
     a_dst: Tensor   # (heads, d_head) — pairs with W h_destination
     a_src: Tensor   # (heads, d_head) — pairs with W h_source
     proj: Linear    # heads*d_head -> d
-    negative_slope: float
     dropout: float  # on the attention weights and on the head outputs
 
     @property
@@ -42,7 +41,7 @@ class GatParams:
 
     @staticmethod
     def init(rng: RngState, d: int, hidden: int, heads: int,
-             negative_slope: float = 0.2, dropout: float = 0.0) -> "GatParams":
+             dropout: float = 0.0) -> "GatParams":
         if hidden % heads != 0:
             raise ConfigError(f"hidden size {hidden} not divisible by {heads} heads")
         dh = hidden // heads
@@ -53,7 +52,6 @@ class GatParams:
             a_dst=Tensor(rng.uniform(-a_lim, a_lim, (heads, dh)), requires_grad=True),
             a_src=Tensor(rng.uniform(-a_lim, a_lim, (heads, dh)), requires_grad=True),
             proj=Linear.init(rng, hidden, d),
-            negative_slope=negative_slope,
             dropout=dropout,
         )
 
@@ -83,8 +81,8 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
     s_dst = T.sum_(Wh * params.a_dst.reshape(1, h, 1, -1), axis=-1)  # (B, h, n)
     s_src = T.sum_(Wh * params.a_src.reshape(1, h, 1, -1), axis=-1)
 
-    logits = T.leaky_relu(s_dst.reshape(B, h, n, 1) + s_src.reshape(B, h, 1, n),
-                          params.negative_slope)                     # (B, h, dst, src)
+    logits = T.leaky_relu(s_dst.reshape(B, h, n, 1)
+                          + s_src.reshape(B, h, 1, n))               # (B, h, dst, src)
     alpha = T.softmax(logits, mask)
     if collect is not None:
         collect.append(alpha.data)

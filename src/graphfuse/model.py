@@ -41,8 +41,6 @@ class ModelConfig:
     dec_heads: int = 4
     dec_layers: int = 1
     dropout: float = 0.3
-    negative_slope: float = 0.2
-    gat_residual: bool = False
     max_len: int = 128
     variant: str = "full"
 
@@ -72,26 +70,21 @@ class ModelConfig:
             raise ConfigError(f"dec_layers must be >= 1, got {self.dec_layers}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0,1), got {self.dropout}")
-        if not 0.0 < self.negative_slope < 1.0:
-            raise ConfigError(f"negative_slope must lie in (0,1), got {self.negative_slope}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
 
 
 # exact types, so a JSON true/false is not an int; an int is a valid float
-_JSON_TYPES = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
+_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}}
 # cached: resolving the annotations takes ~0.1 ms, 5 % of a small checkpoint load
 _type_hints = functools.cache(typing.get_type_hints)
 
 
 def _checked(name: str, kind, value):
     """``value`` if its JSON type fits the field type ``kind``, else ConfigError."""
-    if type(value) in _JSON_TYPES.get(kind, ()):
+    if type(value) in _JSON_TYPES[kind]:
         return value
-    items = typing.get_args(kind)  # (float, float) for betas, a JSON list
-    if items and type(value) is list and len(value) == len(items):
-        return tuple(_checked(name, k, v) for k, v in zip(items, value))
-    raise ConfigError(f"{name} must be {kind if items else kind.__name__}, got {value!r}")
+    raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
 def build_config(cls, overrides, section: str, **derived):
@@ -147,9 +140,8 @@ class TokenClassifier:
         self.gat = None
         self.decoder = None
         if c.variant in ("gat", "full"):
-            self.gat = GatParams.init(
-                rng.split(), c.d, c.gat_hidden, c.gat_heads,
-                negative_slope=c.negative_slope, dropout=c.dropout)
+            self.gat = GatParams.init(rng.split(), c.d, c.gat_hidden,
+                                      c.gat_heads, dropout=c.dropout)
         if c.variant == "full":
             self.decoder = DecoderParams.init(
                 rng.split(), c.d, c.dec_heads, c.dec_layers, c.dropout)
@@ -176,7 +168,7 @@ class TokenClassifier:
     def forward(self, batch: Batch, rng: RngState | None = None,
                 training: bool = False, collect: dict | None = None) -> Tensor:
         """Logits (B, n_max, L) for the configured variant."""
-        H = encode(batch, self.encoder, rng, training, collect)
+        H = encode(batch, self.encoder, rng, training)
         if self.config.variant == "encoder":
             return classify(H, self.head)
 
@@ -186,8 +178,6 @@ class TokenClassifier:
         if collect is not None:
             collect["gat_alpha"] = edge_alpha(
                 alphas[0], batch.lengths, build_fully_connected(batch.lengths))
-        if self.config.gat_residual:
-            H_g = H_g + H * mask[..., None]
         if self.config.variant == "gat":
             return classify(H_g, self.head)
 

@@ -19,7 +19,8 @@ Design notes
   require grad when the op ran (dropout and padding masks, constant
   scales), so no product or reduction is spent on a gradient nobody reads.
 * Ops take only the arguments the model passes: a value that is the same
-  at every call site is a constant here (``LAYER_NORM_EPS``, ELU's alpha 1).
+  at every call site is a constant here (``LAYER_NORM_EPS``,
+  ``LEAKY_RELU_SLOPE``, ELU's alpha 1).
 * Stochastic ops take an explicit :class:`~graphfuse.rng.RngState`.
   ``dropout_mask`` always draws: eval mode and p = 0 are the caller's
   early return (``layers.apply_dropout``). It keeps an element where
@@ -60,6 +61,7 @@ from .rng import RngState
 
 MASK_NEG = -1e30  # additive key-padding bias; exp() underflows to exactly 0.0
 LAYER_NORM_EPS = 1e-5  # added to the variance in every layer_norm
+LEAKY_RELU_SLOPE = 0.2  # the GAT's attention-logit slope; lies in (0, 1)
 
 # per thread (and per asyncio task): threaded evaluation must not switch
 # grad mode off for the caller
@@ -310,11 +312,9 @@ def softmax(x, key_mask: np.ndarray) -> Tensor:
     return _make(y, (x,), bw)
 
 
-def leaky_relu(x, negative_slope: float = 0.2) -> Tensor:
-    if not 0.0 < negative_slope < 1.0:
-        raise ConfigError(f"leaky_relu slope must lie in (0,1), got {negative_slope}")
+def leaky_relu(x) -> Tensor:
     x = _ensure_tensor(x)
-    slope = float(negative_slope)
+    slope = LEAKY_RELU_SLOPE
     # max(x, slope*x) is x at x >= 0 and slope*x below, because 0 < slope < 1
     out = x.data * slope
     np.maximum(x.data, out, out=out)

@@ -23,6 +23,9 @@ from .model import TokenClassifier
 from .rng import RngState
 from .tensor import Tensor
 
+ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
+ADAM_EPS = 1e-8            # added to the root of the second moment
+
 
 @dataclass
 class TrainConfig:
@@ -35,8 +38,6 @@ class TrainConfig:
     max_len: int = 128
     early_stop_patience: int = 3
     seed: int = 0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
 
     def validate(self) -> None:
         if not 0.0 <= self.warmup_ratio < 1.0:
@@ -49,15 +50,10 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 1:
             raise ConfigError("epochs, batch_size and max_len must all be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        b1, b2 = self.betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ConfigError(f"betas must lie in [0,1), got {self.betas}")
 
 
 def lr_schedule(step: int, total_steps: int, warmup_ratio: float,
@@ -129,7 +125,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if grads[name].shape != p.data.shape or state.m[name].shape != p.data.shape:
             raise ContractError(f"{name}: grad {grads[name].shape} and moments "
                                 f"{state.m[name].shape} vs param {p.data.shape}")
-    b1, b2 = config.betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1 ** t
@@ -145,7 +141,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     v += g
     update = v / bc2
     np.sqrt(update, out=update)
-    update += config.eps
+    update += ADAM_EPS
     np.divide(m / bc1, update, out=update)
     if config.weight_decay and state.n_decayed:
         decay = np.concatenate([params[name].data.reshape(-1)
@@ -176,10 +172,14 @@ def train(model: TokenClassifier, corpora: dict[str, Corpus],
     """Optimize the model; the model ends up holding the best-epoch weights.
 
     One validation pass per epoch; early stop after ``early_stop_patience``
-    evaluations without strict micro-F1 improvement. Raises
-    TrainingDivergedError (naming the step) if the loss goes non-finite.
+    evaluations without strict micro-F1 improvement. Raises ConfigError if
+    ``config.max_len`` differs from the model's, and TrainingDivergedError
+    (naming the step) if the loss goes non-finite.
     """
     config.validate()
+    if config.max_len != model.config.max_len:
+        raise ConfigError(f"train.max_len {config.max_len} must equal "
+                          f"model.max_len {model.config.max_len}")
     train_corpus = corpora.get("train")
     valid_corpus = corpora.get("valid")
     if not train_corpus or not valid_corpus:

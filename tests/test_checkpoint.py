@@ -175,7 +175,9 @@ class TestErrors:
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("key", ["bogus", "vocab_size"])
+    # gat_residual, negative_slope: removed keys that older checkpoints store
+    @pytest.mark.parametrize("key", ["bogus", "vocab_size", "gat_residual",
+                                     "negative_slope"])
     def test_bad_stored_config(self, setup, tmp_path, key):
         model, _ = setup
         path = tmp_path / "ckpt.npz"

@@ -96,13 +96,6 @@ class TestForwardBackward:
             flat = [i for row in preds for i in row]
             assert all(0 <= i < model.config.n_labels for i in flat)
 
-    def test_gat_residual_flag_changes_output(self):
-        model, batches = build_world("gat", seed=5)
-        base = model.forward(batches[0]).data.copy()
-        model.config.gat_residual = True
-        bumped = model.forward(batches[0]).data
-        assert not np.array_equal(base, bumped)
-
     def test_vocab_size_consistency_enforced(self):
         model, _ = build_world("full", seed=6)
         cfg = ModelConfig(vocab_size=999, n_labels=model.config.n_labels,

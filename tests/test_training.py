@@ -11,6 +11,8 @@ from graphfuse.rng import RngState
 from graphfuse.synth import copy_spec, generate
 from graphfuse.tensor import Tensor
 from graphfuse.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
     OptState,
     TrainConfig,
     adamw_step,
@@ -83,8 +85,7 @@ class TestClipping:
 
 
 def opt_config(weight_decay=0.0):
-    return TrainConfig(weight_decay=weight_decay, betas=(0.9, 0.999),
-                       eps=1e-8)
+    return TrainConfig(weight_decay=weight_decay)
 
 
 class TestAdamW:
@@ -170,14 +171,13 @@ class TestAdamW:
                   for name, a in start.items()}
         ref = {name: a.copy() for name, a in start.items()}
         state, ref_state = OptState(), {}
-        cfg = TrainConfig(weight_decay=weight_decay, betas=(0.9, 0.98),
-                          eps=1e-6)
+        cfg = TrainConfig(weight_decay=weight_decay)
         for step, lr in enumerate([0.1, 0.05, 0.2, 0.01, 0.3]):
             grads = {name: rng.normal(shape, std=10.0 ** (step - 2))
                      for name, shape in shapes.items()}
             adamw_step(params, grads, state, lr, cfg)
-            adamw_step_reference(ref, grads, ref_state, lr, cfg.betas,
-                                 cfg.eps, cfg.weight_decay)
+            adamw_step_reference(ref, grads, ref_state, lr, ADAM_BETAS,
+                                 ADAM_EPS, cfg.weight_decay)
             for name in shapes:
                 assert params[name].data.tobytes() == ref[name].tobytes(), name
                 assert state.m[name].tobytes() == ref_state["m", name].tobytes()
