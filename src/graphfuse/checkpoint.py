@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import uuid
-import zipfile
 from dataclasses import asdict
 
 import numpy as np
@@ -56,14 +55,19 @@ def load_checkpoint(path: str) -> TokenClassifier:
     # error naming the path, not a zip error halfway through loading
     try:
         blob = np.load(path, allow_pickle=False)
-        if not isinstance(blob, np.lib.npyio.NpzFile):  # a bare .npy array
-            raise ConfigError(f"{path} is not an .npz archive")
-        with blob:
-            entries = {k: blob[k] for k in blob.files}
-        meta = json.loads(str(entries.pop(_META_KEY)[()])) \
-            if _META_KEY in entries else None
-    except (zipfile.BadZipFile, ValueError, EOFError) as exc:
+        if isinstance(blob, np.lib.npyio.NpzFile):
+            with blob:
+                entries = {k: blob[k] for k in blob.files}
+            meta = json.loads(str(entries.pop(_META_KEY)[()])) \
+                if _META_KEY in entries else None
+    # The block only reads the file, and damaged bytes surface as many types:
+    # BadZipFile, NotImplementedError and RuntimeError from zipfile (a bad CRC,
+    # compression method or flag), ValueError, SyntaxError and
+    # tokenize.TokenError from numpy's npy header parser, ValueError from json.
+    except Exception as exc:
         raise ConfigError(f"{path}: unreadable checkpoint ({exc})") from exc
+    if not isinstance(blob, np.lib.npyio.NpzFile):  # a bare .npy array
+        raise ConfigError(f"{path} is not an .npz archive")
     if not isinstance(meta, dict) or set(meta) != _META_FIELDS:
         raise ConfigError(f"{path} is not a graphfuse checkpoint: its metadata "
                           f"must be an object with exactly the keys "

@@ -201,6 +201,7 @@ def cmd_ablate(args) -> int:
     if not seeds:
         raise ConfigError("--seeds must name at least one seed")
     model_over, train_over = _layered_config(args)
+    os.makedirs(args.out, exist_ok=True)  # a bad --out fails before training
 
     splits = generate(relational_spec(seed=args.data_seed))
     token_vocab = build_token_vocab(splits["train"])
@@ -226,7 +227,6 @@ def cmd_ablate(args) -> int:
             print(f"{variant:8s} seed {seed}: micro-F1 "
                   f"{report.micro['f1']:.4f}", flush=True)
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "ablation.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("variant,seed,micro_f1,macro_f1\n")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Batch
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .layers import (Attention, FeedForward, LayerNorm, Linear, apply_dropout,
                      multi_head_attention)
 from .rng import RngState
@@ -23,8 +23,6 @@ from .tensor import Tensor
 
 def positional_encoding(n: int, d_emb: int) -> np.ndarray:
     """Standard sinusoidal table (n, d_emb): even columns sin, odd cos."""
-    if d_emb % 2 != 0:
-        raise ConfigError(f"positional encoding needs an even width, got {d_emb}")
     pos = np.arange(n, dtype=np.float64)[:, None]
     i = np.arange(d_emb // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * i / d_emb)
@@ -66,8 +64,6 @@ class EncoderParams:
     def init(rng: RngState, vocab_size: int, d_emb: int, d: int,
              n_layers: int, n_heads: int, max_len: int,
              dropout: float) -> "EncoderParams":
-        if n_layers not in (0, 1, 2):
-            raise ConfigError(f"encoder depth must be 0, 1 or 2, got {n_layers}")
         emb = Tensor(rng.normal((vocab_size, d_emb)), requires_grad=True)
         blocks = [EncoderBlock.init(rng, d_emb, n_heads) for _ in range(n_layers)]
         proj = Linear.init(rng, d_emb, d)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .graph import EdgeIndex
 from .layers import Linear, apply_dropout
 from .rng import RngState
@@ -42,8 +42,6 @@ class GatParams:
     @staticmethod
     def init(rng: RngState, d: int, hidden: int, heads: int,
              dropout: float = 0.0) -> "GatParams":
-        if hidden % heads != 0:
-            raise ConfigError(f"hidden size {hidden} not divisible by {heads} heads")
         dh = hidden // heads
         w_lim = math.sqrt(6.0 / (d + dh))
         a_lim = math.sqrt(6.0 / (2 * dh + 1))

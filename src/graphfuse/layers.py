@@ -5,6 +5,10 @@ method so the model can assemble its flat name -> Tensor dictionary for the
 optimizer and the checkpoint. Naming matters: the optimizer skips weight
 decay for names ending in ``.b`` and names containing ``norm``.
 
+Builders take values that ``ModelConfig.validate`` has already checked
+(widths divisible by their head counts, among others) and do not check
+them again.
+
 A block holds parameters only; what is fixed model-wide stays in
 ``graphfuse.tensor`` (the layer-norm epsilon). Every attention call is
 masked, so ``multi_head_attention`` requires its (B, n_k) key mask, and
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .rng import RngState
 from .tensor import Tensor
 
@@ -78,8 +81,6 @@ class Attention:
 
     @staticmethod
     def init(rng: RngState, d: int, n_heads: int) -> "Attention":
-        if d % n_heads != 0:
-            raise ConfigError(f"width {d} not divisible by {n_heads} heads")
         return Attention(Linear.init(rng, d, d), Linear.init(rng, d, d),
                          Linear.init(rng, d, d), Linear.init(rng, d, d),
                          n_heads)

@@ -39,12 +39,13 @@ class ModelConfig:
     gat_hidden: int = 64
     gat_heads: int = 4
     dec_heads: int = 4
-    dec_layers: int = 1
     dropout: float = 0.3
     max_len: int = 128
     variant: str = "full"
 
     def validate(self) -> None:
+        """Raise ConfigError on a bad value: the one place model rules are
+        checked. The layer builders take these values as given."""
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.vocab_size < 2:
@@ -66,8 +67,6 @@ class ModelConfig:
                               f"gat_heads {self.gat_heads}")
         if self.d % self.dec_heads != 0:
             raise ConfigError(f"d {self.d} not divisible by dec_heads {self.dec_heads}")
-        if self.dec_layers < 1:
-            raise ConfigError(f"dec_layers must be >= 1, got {self.dec_layers}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0,1), got {self.dropout}")
         if self.max_len < 1:
@@ -144,7 +143,7 @@ class TokenClassifier:
                                       c.gat_heads, dropout=c.dropout)
         if c.variant == "full":
             self.decoder = DecoderParams.init(
-                rng.split(), c.d, c.dec_heads, c.dec_layers, c.dropout)
+                rng.split(), c.d, c.dec_heads, c.dropout)
         self.head = Linear.init(rng.split(), c.d, c.n_labels)
 
     # -- parameter plumbing -------------------------------------------------

@@ -23,7 +23,8 @@ Design notes
   ``LEAKY_RELU_SLOPE``, ELU's alpha 1).
 * Stochastic ops take an explicit :class:`~graphfuse.rng.RngState`.
   ``dropout_mask`` always draws: eval mode and p = 0 are the caller's
-  early return (``layers.apply_dropout``). It keeps an element where
+  early return (``layers.apply_dropout``), and p is the validated
+  ``ModelConfig.dropout``, so it lies in [0, 1). It keeps an element where
   ``RngState.bernoulli(p)`` is False. That primitive compares raw 64-bit
   Philox words w with ``ceil(p·2⁵³)·2¹¹``: a uniform draw is
   ``(w >> 11)·2⁻⁵³``, so the mask and the stream position are bitwise those
@@ -55,8 +56,7 @@ from contextvars import ContextVar
 
 import numpy as np
 
-from .errors import (ConfigError, ContractError, DegenerateBatchError,
-                     ShapeMismatchError)
+from .errors import ContractError, DegenerateBatchError, ShapeMismatchError
 from .rng import RngState
 
 MASK_NEG = -1e30  # additive key-padding bias; exp() underflows to exactly 0.0
@@ -383,8 +383,6 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 def dropout_mask(shape, p: float, rng: RngState) -> Tensor:
     """Inverted-dropout mask: Bernoulli(1−p)/(1−p), exact ones at p = 0."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout probability must lie in [0,1), got {p}")
     keep = ~rng.bernoulli(p, shape)
     # one pass; keep is 0 or 1, so this is bitwise keep / (1 - p)
     return Tensor(np.multiply(keep, 1.0 / (1.0 - p)))

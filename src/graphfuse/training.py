@@ -73,8 +73,6 @@ def lr_schedule(step: int, total_steps: int, warmup_ratio: float,
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale gradients in place to a global L2 norm of max_norm; return the scale."""
-    if max_norm <= 0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if total <= max_norm or total == 0.0:
         return 1.0

@@ -121,6 +121,30 @@ def _bare_npy(path):
         np.save(fh, np.zeros(3))
 
 
+def _central_entry_byte(offset, value):
+    """Set one byte of the archive's first central-directory entry."""
+    def mutate(path):
+        data = bytearray(path.read_bytes())
+        data[data.index(b"PK\x01\x02") + offset] = value
+        path.write_bytes(bytes(data))
+    return mutate
+
+
+def _edit_npy_header(old, new):
+    """Replace ``old`` by ``new`` in the largest entry's npy header.
+
+    The entry spans several zip reads, so numpy parses the header before
+    zipfile has checked the CRC.
+    """
+    def mutate(path):
+        data = path.read_bytes()
+        with zipfile.ZipFile(path) as zf:
+            info = max(zf.infolist(), key=lambda i: i.compress_size)
+        at = data.index(old, info.header_offset)
+        path.write_bytes(data[:at] + new + data[at + len(old):])
+    return mutate
+
+
 # each must end in ConfigError (exit 2), not in a traceback or, for
 # pad-remapped and ignore-label-as-class, in a corrupted vocabulary that
 # loads silently
@@ -140,6 +164,13 @@ CORRUPTIONS = {
     "truncated": _truncate,
     "bare-npy": _bare_npy,
     "flipped-byte": _flip_param_byte,
+    # zipfile raises RuntimeError and NotImplementedError for these, and
+    # numpy's npy header parser tokenize.TokenError and SyntaxError
+    "encrypted-flag": _central_entry_byte(8, 1),
+    "unknown-compression": _central_entry_byte(10, 99),
+    "unknown-zip-version": _central_entry_byte(6, 99),
+    "unbalanced-npy-shape": _edit_npy_header(b"), }", b"(, }"),
+    "garbled-npy-dtype": _edit_npy_header(b"'<f8'", b"',f8'"),
 }
 
 
@@ -175,9 +206,10 @@ class TestErrors:
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
 
-    # gat_residual, negative_slope: removed keys that older checkpoints store
+    # gat_residual, negative_slope, dec_layers: removed keys that older
+    # checkpoints store
     @pytest.mark.parametrize("key", ["bogus", "vocab_size", "gat_residual",
-                                     "negative_slope"])
+                                     "negative_slope", "dec_layers"])
     def test_bad_stored_config(self, setup, tmp_path, key):
         model, _ = setup
         path = tmp_path / "ckpt.npz"

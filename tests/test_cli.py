@@ -1,13 +1,17 @@
 """CLI tests: exit codes, artifacts, determinism, precedence."""
 
+import io
 import json
 import os
+import zipfile
 
+import numpy as np
 import pytest
 
 from graphfuse import cli
 from graphfuse.cli import main
 from graphfuse.model import build_config
+from graphfuse.rng import RngState
 from graphfuse.training import TrainConfig
 
 
@@ -23,6 +27,8 @@ BAD_CONFIGS = {
                                "unknown config key(s): model.gat_residual"),
     "old-model-negative-slope": ({"model": {"negative_slope": 0.2}},
                                  "unknown config key(s): model.negative_slope"),
+    "old-model-dec-layers": ({"model": {"dec_layers": 1}},
+                             "unknown config key(s): model.dec_layers"),
     "betas-number": ({"train": {"betas": 0.9}},
                      "unknown config key(s): train.betas"),
     "betas-one-value": ({"train": {"betas": [0.9]}},
@@ -57,6 +63,8 @@ OS_ERRORS = {
     "eval-out-is-a-file": [
         "eval", "--checkpoint", "{run}/checkpoint.npz", "--test",
         "{data}/test.conll", "--out", "{file}"],
+    "ablate-out-is-a-file": [
+        "ablate", "--out", "{file}", "--seeds", "0", "--epochs", "1"],
 }
 
 
@@ -404,6 +412,106 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "batch_size must be >= 1" in err and "Traceback" not in err
+
+
+# values of the wrong JSON type for any config or metadata key
+RETYPES = ("x", None, [1], {}, True, 1.5)
+# CoNLL lines that break the two-column format or its label set
+BROKEN_LINES = (b"a b c", b"tok", b"tok I-", b"tok X-Y", b"\xff\xfe B-A",
+                b"-DOCSTART- O")
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(0, len(items)))]
+
+
+def _drop_or_retype(rng, obj):
+    """Delete one key of ``obj`` or give it a wrong-typed value; say which."""
+    key = _pick(rng, sorted(obj))
+    if rng.integers(0, 2):
+        obj[key] = _pick(rng, RETYPES)
+        return f"{key}={obj[key]!r}"
+    del obj[key]
+    return f"-{key}"
+
+
+def mutants(workdir, tmp_path):
+    """About 30 damaged inputs drawn from a fixed seed: (label, argv) pairs.
+
+    A checkpoint cut short or with one flipped bit (anywhere, or inside a
+    zip header), a checkpoint whose metadata lost or retyped a key, a
+    config.json that lost or retyped a key and a CoNLL file with one broken
+    line.
+    """
+    rng = RngState(13)
+    run, data = workdir / "run", workdir / "data"
+    ckpt = (run / "checkpoint.npz").read_bytes()
+    with zipfile.ZipFile(io.BytesIO(ckpt)) as zf:
+        headers = [info.header_offset for info in zf.infolist()]
+    commands = {  # {m} is the mutant
+        "eval": ["eval", "--checkpoint", "{m}", "--test", "{data}/test.conll",
+                 "--out", "{tmp}/o"],
+        "eval-conll": ["eval", "--checkpoint", "{run}/checkpoint.npz",
+                       "--test", "{m}", "--out", "{tmp}/o"],
+        "predict": ["predict", "--checkpoint", "{run}/checkpoint.npz",
+                    "--input", "{m}", "--output", "{tmp}/p"],
+        "train": ["train", "--train", "{data}/valid.conll", "--valid",
+                  "{data}/valid.conll", "--out", "{tmp}/t", "--config",
+                  "{m}", "--epochs", "1"],
+    }
+    out = []
+
+    def add(label, blob, command):
+        path = tmp_path / f"m{len(out)}"
+        path.write_bytes(blob)
+        paths = {"m": path, "run": run, "data": data, "tmp": tmp_path}
+        out.append((f"{len(out)}: {label}",
+                    [arg.format(**paths) for arg in commands[command]]))
+
+    for _ in range(4):
+        add("truncated", ckpt[:int(rng.integers(0, len(ckpt)))], "eval")
+    for where in ["anywhere"] * 4 + ["zip header"] * 4:
+        pos = (int(rng.integers(0, len(ckpt))) if where == "anywhere"
+               else _pick(rng, headers) + int(rng.integers(0, 30)))
+        blob = bytearray(ckpt)
+        blob[pos] ^= 1 << int(rng.integers(0, 8))
+        add(f"bit flipped at {pos} ({where})", bytes(blob), "eval")
+    with np.load(io.BytesIO(ckpt), allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    for _ in range(6):
+        meta = json.loads(str(arrays["__meta__"]))
+        part = _pick(rng, [None, "config", "token_vocab", "label_vocab"])
+        label = _drop_or_retype(rng, meta if part is None else meta[part])
+        buf = io.BytesIO()
+        np.savez(buf, **{**arrays, "__meta__": np.array(json.dumps(meta))})
+        add(f"metadata {part or 'top'}: {label}", buf.getvalue(), "eval")
+    for _ in range(6):
+        config = json.loads((run / "config.json").read_text())
+        section = _pick(rng, ["model", "train"])
+        label = _drop_or_retype(rng, config[section])
+        add(f"config.json {section}: {label}", json.dumps(config).encode(),
+            "train")
+    conll = (data / "test.conll").read_bytes().split(b"\n")
+    for command in ["eval-conll"] * 3 + ["predict"] * 3:
+        lines = list(conll)
+        at = int(rng.integers(0, len(lines)))
+        lines[at] = _pick(rng, BROKEN_LINES)
+        add(f"CoNLL line {at + 1} = {lines[at]!r}", b"\n".join(lines), command)
+    return out
+
+
+class TestMutants:
+    def test_damaged_inputs_exit_0_or_2(self, workdir, tmp_path, capsys):
+        bad = []
+        for label, argv in mutants(workdir, tmp_path):
+            try:
+                code = run_cli(argv)
+            except Exception as exc:  # main() let it escape: a traceback
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if code not in (0, 2) or "Traceback" in err:
+                bad.append((label, code))
+        assert bad == []
 
 
 class TestUsage:

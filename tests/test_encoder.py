@@ -5,7 +5,7 @@ import pytest
 
 from graphfuse import tensor as T
 from graphfuse.encoder import EncoderParams, encode, positional_encoding
-from graphfuse.errors import ConfigError, ContractError
+from graphfuse.errors import ContractError
 from graphfuse.rng import RngState
 
 from helpers import toy_batch
@@ -25,10 +25,6 @@ class TestPositionalEncoding:
     def test_scalar_anchor(self):
         # first column at position 1 is sin(1 / 10000^0) = sin(1)
         assert abs(positional_encoding(2, 4)[1, 0] - np.sin(1.0)) < 1e-12
-
-    def test_odd_width_rejected(self):
-        with pytest.raises(ConfigError):
-            positional_encoding(4, 7)
 
 
 def make_encoder(n_layers=0, vocab=20, d_emb=8, d=6, seed=0, dropout=0.0):

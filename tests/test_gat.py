@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphfuse.errors import ConfigError, ContractError
+from graphfuse.errors import ContractError
 from graphfuse.gat import GatParams, edge_alpha, gat_forward
 from graphfuse.graph import build_fully_connected
 from graphfuse.rng import RngState
@@ -140,10 +140,6 @@ class TestGatForward:
         with pytest.raises(ContractError):
             gat_forward(Tensor(np.zeros((1, 4, 6))), full_mask(1, 3), params,
                         None, False)
-
-    def test_hidden_not_divisible(self):
-        with pytest.raises(ConfigError):
-            make_params(hidden=7, heads=2)
 
     def test_gradients_match_finite_differences_five_nodes(self):
         params = make_params(d=4, hidden=4, heads=2, seed=17)

@@ -63,6 +63,23 @@ class TestVariants:
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=5, n_labels=3, variant="gatsby").validate()
 
+    # validate is the one check of these rules: the layer builders trust it
+    @pytest.mark.parametrize("overrides, message", [
+        ({"d_emb": 7}, "d_emb must be even"),
+        ({"enc_layers": 3}, "enc_layers must be 0, 1 or 2"),
+        ({"enc_layers": 1, "d_emb": 6}, "not divisible by enc_heads"),
+        ({"gat_hidden": 6}, "not divisible by gat_heads"),
+        ({"d": 6}, "not divisible by dec_heads"),
+        ({"dropout": 1.0}, "dropout must lie in"),
+        ({"dropout": -0.1}, "dropout must lie in"),
+    ], ids=["odd-d-emb", "enc-layers-3", "d-emb-by-enc-heads",
+            "gat-hidden-by-heads", "d-by-dec-heads", "dropout-one",
+            "dropout-negative"])
+    def test_validate_rejects(self, overrides, message):
+        config = ModelConfig(vocab_size=5, n_labels=3, **overrides)
+        with pytest.raises(ConfigError, match=message):
+            config.validate()
+
 
 class TestForwardBackward:
     @pytest.mark.parametrize("variant", ["encoder", "gat", "full"])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from graphfuse import tensor as T
-from graphfuse.errors import (ConfigError, ContractError,
-                              DegenerateBatchError, ShapeMismatchError)
+from graphfuse.errors import (ContractError, DegenerateBatchError,
+                              ShapeMismatchError)
 from graphfuse.layers import apply_dropout
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
@@ -269,12 +269,6 @@ class TestDropoutMask:
         assert abs(keep - 0.7) < 0.01
         # inverted scaling: surviving entries are 1/(1-p)
         np.testing.assert_allclose(np.unique(m.data), [0.0, 1.0 / 0.7])
-
-    def test_invalid_p(self):
-        with pytest.raises(ConfigError):
-            T.dropout_mask((2,), 1.0, RngState(0))
-        with pytest.raises(ConfigError):
-            T.dropout_mask((2,), -0.1, RngState(0))
 
     def test_mask_is_scaled_keep_indicator(self):
         m = T.dropout_mask((64,), 0.3, RngState(11))

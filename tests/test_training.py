@@ -207,6 +207,8 @@ class TestTrainLoop:
             TrainConfig(warmup_ratio=1.5).validate()
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0).validate()
+        with pytest.raises(ConfigError, match="clip_norm must be positive"):
+            TrainConfig(clip_norm=0).validate()
 
     def test_loss_decreases_and_history_shape(self):
         model, corpora = tiny_setup()
