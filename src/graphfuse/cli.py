@@ -24,8 +24,8 @@ from .data import (
     parse_predict_input,
     serialize_conll,
 )
-from .errors import (ConfigError, GraphFuseError, TrainingDivergedError,
-                     VocabMismatchError)
+from .errors import (ConfigError, GraphFuseError, ParseError,
+                     TrainingDivergedError, VocabMismatchError)
 from .evaluation import evaluate, predict_corpus, truncation
 from .model import VARIANTS, ModelConfig, TokenClassifier, build_config
 from .presets import get_preset
@@ -41,8 +41,18 @@ _SPEC_FACTORIES = {
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The UTF-8 text of ``path``. A byte that is not UTF-8 raises ParseError
+    naming the file and the 1-based line the byte is on."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.object is its bytes;
+        # count lines as text mode splits them: at \n, \r\n and a lone \r
+        head = exc.object[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"{path} is not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                         f"({exc.reason})", line=line) from None
 
 
 def _load_corpus(path: str):
@@ -318,8 +328,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (GraphFuseError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (GraphFuseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

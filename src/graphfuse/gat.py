@@ -6,6 +6,11 @@ and self-looped, so the in-neighborhood of a token is every real token of
 its sentence and the layer is dense attention with a key-padding mask (the
 ``bias_mat`` form of the original GAT code). Heads are concatenated and
 projected back to d.
+
+The per-token score halves ``s_dst`` and ``s_src`` are (B, heads, n)
+vectors; ``T.graph_attention`` builds their pairwise sums, the leaky ReLU,
+the masked softmax, the attention dropout and the product with W h as one
+node, which keeps the weights, the dropout mask and the logit signs.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .graph import EdgeIndex
-from .layers import Linear, apply_dropout
+from .layers import Linear, apply_dropout, dropout_keep
 from .rng import RngState
 from .tensor import Tensor
 
@@ -66,8 +71,10 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
 
     ``mask`` is the (B, n) boolean attention mask (True = real token). Pad
     keys get exactly zero weight and pad rows of the output are exactly
-    zero. When ``collect`` is given the (B, heads, n, n) attention array is
-    appended to it; pad query rows of it are meaningless.
+    zero. When ``collect`` is given the (B, heads, n, n) attention array,
+    before dropout, is appended to it; pad query rows of it are meaningless.
+    The attention dropout mask is drawn where the softmax ends, before the
+    head outputs' mask, so the RNG stream is that of the composed layer.
     """
     B, n, d = H.shape
     if mask.shape != (B, n):
@@ -79,14 +86,9 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
     s_dst = T.sum_(Wh * params.a_dst.reshape(1, h, 1, -1), axis=-1)  # (B, h, n)
     s_src = T.sum_(Wh * params.a_src.reshape(1, h, 1, -1), axis=-1)
 
-    logits = T.leaky_relu(s_dst.reshape(B, h, n, 1)
-                          + s_src.reshape(B, h, 1, n))               # (B, h, dst, src)
-    alpha = T.softmax(logits, mask)
-    if collect is not None:
-        collect.append(alpha.data)
-    alpha = apply_dropout(alpha, params.dropout, rng, training)
-
-    mixed = T.transpose(T.matmul(alpha, Wh), (0, 2, 1, 3))          # (B, n, h, dh)
+    keep = dropout_keep((B, h, n, n), params.dropout, rng, training)
+    mixed = T.graph_attention(s_dst, s_src, Wh, mask, keep, collect)
+    mixed = T.transpose(mixed, (0, 2, 1, 3))                         # (B, n, h, dh)
     feats = T.elu(mixed).reshape(B, n, h * params.d_head)
     feats = apply_dropout(feats, params.dropout, rng, training)
     return params.proj(feats) * mask[..., None]

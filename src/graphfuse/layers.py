@@ -11,9 +11,11 @@ them again.
 
 A block holds parameters only; what is fixed model-wide stays in
 ``graphfuse.tensor`` (the layer-norm epsilon). Every attention call is
-masked, so ``multi_head_attention`` requires its (B, n_k) key mask, and
-``apply_dropout`` is the one place that skips dropout in eval mode or at
-p = 0.
+masked, so ``multi_head_attention`` requires its (B, n_k) key mask; it
+projects and splits the heads and hands the map work to the one-node
+``T.attention``. ``dropout_keep`` is the one place that skips dropout in
+eval mode or at p = 0; ``apply_dropout`` and the GAT's attention dropout
+both draw through it.
 """
 
 from __future__ import annotations
@@ -99,8 +101,10 @@ def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
 
     ``key_mask`` is the (B, n_k) boolean attention mask (True = real token).
     Masked keys receive exactly zero weight, so every row still sums to 1
-    over the unmasked keys. When ``collect`` is given the (B, H, n_q, n_k)
-    weight array of this call is appended to it (eval instrumentation).
+    over the unmasked keys. q is scaled by 1/√dh before ``T.attention``,
+    which keeps the (B, H, n_q, n_k) weights as its only map-sized buffer.
+    When ``collect`` is given those weights are appended to it (eval
+    instrumentation).
     """
     B, n_q, d = query.shape
     n_k = key.shape[1]
@@ -110,14 +114,12 @@ def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
     def split(x: Tensor, n: int, axes: tuple[int, ...]) -> Tensor:
         return T.transpose(x.reshape(B, n, h, dh), axes)
 
-    q = split(params.q(query), n_q, (0, 2, 1, 3))   # (B, h, n_q, dh)
+    # scaling q, not the scores, costs n·dh products instead of n²
+    q = split(params.q(query), n_q, (0, 2, 1, 3)) * (1.0 / math.sqrt(dh))
     k_t = split(params.k(key), n_k, (0, 2, 3, 1))   # (B, h, dh, n_k)
     v = split(params.v(value), n_k, (0, 2, 1, 3))   # (B, h, n_k, dh)
-    scores = T.matmul(q, k_t) * (1.0 / math.sqrt(dh))
-    weights = T.softmax(scores, key_mask)
-    if collect is not None:
-        collect.append(weights.data)
-    mixed = T.transpose(T.matmul(weights, v), (0, 2, 1, 3)).reshape(B, n_q, d)
+    mixed = T.attention(q, k_t, v, key_mask, collect)  # (B, h, n_q, dh)
+    mixed = T.transpose(mixed, (0, 2, 1, 3)).reshape(B, n_q, d)
     return params.o(mixed)
 
 
@@ -140,8 +142,15 @@ class FeedForward:
                 **self.outer.named(f"{prefix}.outer")}
 
 
+def dropout_keep(shape: tuple[int, ...], p: float, rng: RngState | None,
+                 training: bool) -> np.ndarray | None:
+    """An inverted-dropout mask of ``shape``, or None in eval or at p = 0."""
+    if not training or p == 0.0:
+        return None
+    return T.dropout_mask(shape, p, rng)
+
+
 def apply_dropout(x: Tensor, p: float, rng: RngState | None, training: bool) -> Tensor:
     """Multiply by an inverted-dropout mask (no-op in eval or at p = 0)."""
-    if not training or p == 0.0:
-        return x
-    return x * T.dropout_mask(x.shape, p, rng)
+    keep = dropout_keep(x.shape, p, rng, training)
+    return x if keep is None else x * keep

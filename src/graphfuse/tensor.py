@@ -23,7 +23,7 @@ Design notes
   ``LEAKY_RELU_SLOPE``, ELU's alpha 1).
 * Stochastic ops take an explicit :class:`~graphfuse.rng.RngState`.
   ``dropout_mask`` always draws: eval mode and p = 0 are the caller's
-  early return (``layers.apply_dropout``), and p is the validated
+  early return (``layers.dropout_keep``), and p is the validated
   ``ModelConfig.dropout``, so it lies in [0, 1). It keeps an element where
   ``RngState.bernoulli(p)`` is False. That primitive compares raw 64-bit
   Philox words w with ``ceil(p·2⁵³)·2¹¹``: a uniform draw is
@@ -36,14 +36,35 @@ Design notes
 * ``transpose(x, axes)`` is the one axis-permuting op; attention lays its
   keys out as (B, h, dh, n_k) with a single call.
 * ``no_grad()`` suppresses graph construction (evaluation paths).
-* Fused primitives (linear, softmax, layer_norm, masked_cross_entropy) carry
-  closed-form backwards instead of being composed from smaller ops; the
-  max-shift inside softmax/log-sum-exp is detached, which is exact because
-  the shift cancels in the gradient.
-* ``softmax(x, key_mask)`` runs over the last axis and always takes the
-  (B, n_k) key mask, because every attention in the model is masked. It
-  adds the key-padding bias (``MASK_NEG`` at pads, the constant's one owner)
-  inside the op instead of building a biased copy of the logits.
+* Fused primitives (linear, layer_norm, the two attention ops,
+  masked_cross_entropy) carry closed-form backwards instead of being
+  composed from smaller ops; the max-shift inside each softmax and
+  log-sum-exp is detached, which is exact because the shift cancels in the
+  gradient.
+* Each attention map is one node that holds one (B, h, n, n) float64
+  buffer, the weights; the bias, shift, exp and normalisation run in place
+  in it. ``attention(q, k_t, v, key_mask)`` is ``softmax(q @ k_t) @ v``
+  with ``MASK_NEG`` (the constant's one owner) added at pad keys.
+  ``multi_head_attention`` scales q by 1/√dh rather than the scores: that
+  is n·dh products instead of n², and bitwise equal to scaling the scores
+  when 1/√dh is a power of two (dh = 4, 16, 64); at dh = 32 the two differ
+  by rounding.
+* ``graph_attention(s_dst, s_src, wh, key_mask, keep)`` is the GAT's
+  ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. Pads get
+  ``MASK_NEG`` as their (B, h, n) source score, so no bias pass over the map
+  is needed. Its row max is ``leaky_relu(s_dst_i + max_j s_src_j)``, taken
+  on vectors: x -> fl(s_dst_i + x) and the leaky ReLU are monotone, so this
+  is exactly the max over the map's row. Besides the weights it keeps the
+  dropout mask and a bool map of negative logits, whose slope factor is
+  exactly 1.0 or ``LEAKY_RELU_SLOPE``. Both forwards are bitwise the
+  composed masked softmax (``tests/oracles.py``).
+* Both backwards use rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention, Dao et
+  al. 2022): the softmax backward's row term is a dot product over dh, not
+  a map product reduced over n_k. It holds with dropout, because O is the
+  output after dropout. It is the same sum in another order, so the
+  gradients of the scores and of everything upstream of them differ from
+  the composed form's by rounding only; given the same incoming gradient,
+  those of v and wh are bitwise equal.
 * A backward closure never writes into the incoming ``g``: ``add`` hands the
   same array to both parents, so it may be another node's pending gradient.
   In-place work goes into a buffer the closure allocated itself.
@@ -281,55 +302,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- nonlinearities -----------------------------------------------------------
 
-def softmax(x, key_mask: np.ndarray) -> Tensor:
-    """Stable masked softmax over the last axis (max-shifted; shift detached).
-
-    ``key_mask`` is a (B, n_k) boolean mask over the first and last axes of
-    ``x`` (True = real key). Masked keys get the additive MASK_NEG bias
-    inside the op, so they receive exactly zero weight and the biased logits
-    are never a graph node of their own.
-    """
-    x = _ensure_tensor(x)
-    shape = x.data.shape
-    if x.data.ndim < 2 or key_mask.shape != (shape[0], shape[-1]):
-        raise ShapeMismatchError(
-            f"key_mask {key_mask.shape} must cover the first and last "
-            f"axes of {shape}")
-    bias = np.where(key_mask, 0.0, MASK_NEG)
-    y = x.data + bias.reshape(shape[0], *(1,) * (x.data.ndim - 2), shape[-1])
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        # g may be shared with another parent (add hands one array to both)
-        t = g * y
-        dot = t.sum(axis=-1, keepdims=True)
-        np.subtract(g, dot, out=t)
-        t *= y
-        return (t,)
-
-    return _make(y, (x,), bw)
-
-
-def leaky_relu(x) -> Tensor:
-    x = _ensure_tensor(x)
-    slope = LEAKY_RELU_SLOPE
-    # max(x, slope*x) is x at x >= 0 and slope*x below, because 0 < slope < 1
-    out = x.data * slope
-    np.maximum(x.data, out, out=out)
-
-    def bw(g):
-        # the factor m·(1−slope)+slope is exactly 1.0 where m = 1, because
-        # fl(1−slope) is within 2⁻⁵⁴ of 1−slope, so the sum rounds to 1.0
-        dx = np.multiply(x.data >= 0, 1.0 - slope)
-        dx += slope
-        dx *= g
-        return (dx,)
-
-    return _make(out, (x,), bw)
-
-
 def relu(x) -> Tensor:
     x = _ensure_tensor(x)
     pos = x.data > 0
@@ -379,13 +351,112 @@ def layer_norm(x, gain, bias) -> Tensor:
     return _make(y, (x, gain, bias), bw)
 
 
+# -- attention ----------------------------------------------------------------
+
+def attention(q, k_t, v, key_mask: np.ndarray,
+              collect: list | None = None) -> Tensor:
+    """``softmax(q @ k_t + key bias) @ v`` over the last axis, as one node.
+
+    ``q`` is (B, h, n_q, dh), ``k_t`` (B, h, dh, n_k) and ``v`` (B, h, n_k,
+    dv); the caller has already scaled ``q``. ``key_mask`` is the (B, n_k)
+    boolean key mask (True = real key): pads get the MASK_NEG bias, so they
+    receive exactly zero weight. The node keeps the (B, h, n_q, n_k) weights
+    and nothing else map-sized; ``collect`` receives them when given.
+    """
+    q, k_t, v = _ensure_tensor(q), _ensure_tensor(k_t), _ensure_tensor(v)
+    B, n_k = k_t.data.shape[0], k_t.data.shape[-1]
+    if q.data.ndim != 4 or k_t.data.ndim != 4 or v.data.ndim != 4 or \
+            q.data.shape[-1] != k_t.data.shape[-2] or \
+            v.data.shape[-2] != n_k or key_mask.shape != (B, n_k):
+        raise ShapeMismatchError(
+            f"attention needs q (B, h, n_q, dh), k_t (B, h, dh, n_k), "
+            f"v (B, h, n_k, dv) and key_mask (B, n_k), got {q.data.shape}, "
+            f"{k_t.data.shape}, {v.data.shape} and {key_mask.shape}")
+    y = np.matmul(q.data, k_t.data)
+    y += np.where(key_mask, 0.0, MASK_NEG)[:, None, None, :]
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = np.matmul(y, v.data)
+    if collect is not None:
+        collect.append(y)
+    need_q, need_k, need_v = q.requires_grad, k_t.requires_grad, v.requires_grad
+
+    def bw(g):
+        # rowsum(gy∘y) = rowsum(g∘out): the softmax backward needs no map
+        # product and no row reduction over n_k
+        gs = np.matmul(g, _matrix_t(v.data))
+        gs -= (g * out).sum(axis=-1, keepdims=True)
+        gs *= y
+        return (np.matmul(gs, _matrix_t(k_t.data)) if need_q else None,
+                np.matmul(_matrix_t(q.data), gs) if need_k else None,
+                np.matmul(_matrix_t(y), g) if need_v else None)
+
+    return _make(out, (q, k_t, v), bw)
+
+
+def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
+                    keep: np.ndarray | None,
+                    collect: list | None = None) -> Tensor:
+    """GAT attention ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``.
+
+    ``s_dst`` and ``s_src`` are the (B, h, n) score halves, ``wh`` the (B, h,
+    n, dh) projected features and ``key_mask`` the (B, n) key mask. Pads get
+    MASK_NEG as their source score, so they receive exactly zero weight.
+    ``keep`` is the (B, h, n, n) inverted-dropout mask, or None in eval mode.
+    The node keeps the weights before dropout, ``keep`` and the sign of the
+    logits; ``collect`` receives the weights when given.
+    """
+    s_dst, s_src, wh = _ensure_tensor(s_dst), _ensure_tensor(s_src), _ensure_tensor(wh)
+    B, h, n = s_src.data.shape
+    if s_dst.data.shape != (B, h, n) or wh.data.shape[:3] != (B, h, n) or \
+            key_mask.shape != (B, n):
+        raise ShapeMismatchError(
+            f"graph_attention needs s_dst and s_src (B, h, n), wh (B, h, n, dh) "
+            f"and key_mask (B, n), got {s_dst.data.shape}, {s_src.data.shape}, "
+            f"{wh.data.shape} and {key_mask.shape}")
+    slope = LEAKY_RELU_SLOPE
+    src = np.where(key_mask[:, None, :], s_src.data, MASK_NEG)
+    y = s_dst.data[..., None] + src[..., None, :]
+    neg = y < 0
+    np.multiply(y, slope, out=y, where=neg)
+    # the row max, exactly: x -> fl(s_dst_i + x) and the leaky ReLU are
+    # monotone, so max_j of the logits is the logit of max_j src_j
+    top = s_dst.data + src.max(axis=-1, keepdims=True)
+    np.multiply(top, slope, out=top, where=top < 0)
+    y -= top[..., None]
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect.append(y)
+    out = np.matmul(y if keep is None else y * keep, wh.data)
+    need_dst, need_src, need_wh = s_dst.requires_grad, s_src.requires_grad, wh.requires_grad
+
+    def bw(g):
+        dwh = None
+        if need_wh:
+            dwh = np.matmul(_matrix_t(y if keep is None else y * keep), g)
+        gs = np.matmul(g, _matrix_t(wh.data))
+        if keep is not None:
+            gs *= keep
+        # rowsum(gs∘y) = rowsum(g∘out), with or without dropout
+        gs -= (g * out).sum(axis=-1, keepdims=True)
+        gs *= y
+        np.multiply(gs, slope, out=gs, where=neg)
+        return (gs.sum(axis=-1) if need_dst else None,
+                gs.sum(axis=-2) if need_src else None,
+                dwh)
+
+    return _make(out, (s_dst, s_src, wh), bw)
+
+
 # -- stochastic ---------------------------------------------------------------
 
-def dropout_mask(shape, p: float, rng: RngState) -> Tensor:
+def dropout_mask(shape, p: float, rng: RngState) -> np.ndarray:
     """Inverted-dropout mask: Bernoulli(1−p)/(1−p), exact ones at p = 0."""
     keep = ~rng.bernoulli(p, shape)
     # one pass; keep is 0 or 1, so this is bitwise keep / (1 - p)
-    return Tensor(np.multiply(keep, 1.0 / (1.0 - p)))
+    return np.multiply(keep, 1.0 / (1.0 - p))
 
 
 # -- gather / scatter ---------------------------------------------------------

@@ -45,6 +45,26 @@ def max_rel_err(got, want, floor=1e-8):
     return float(np.max(np.abs(got - want) / denom))
 
 
+def masked_softmax(x, key_mask):
+    """Softmax over the last axis of ``x`` with a -1e30 bias at masked keys.
+
+    ``key_mask`` is (B, n_k) over the first and last axes (True = real key).
+    Bias, max-shift, exp and normalise run as separate steps over the whole
+    map; the fused attention ops must match this forward bitwise.
+    """
+    bias = np.where(key_mask, 0.0, -1e30)
+    y = x + bias.reshape(x.shape[0], *(1,) * (x.ndim - 2), x.shape[-1])
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def leaky_relu(x, slope=0.2):
+    """max(x, slope·x): x at x >= 0 (keeping -0.0) and slope·x below."""
+    return np.maximum(x, x * slope)
+
+
 def brute_force_edges(lengths):
     """All within-sample (source, target) pairs, source-major, with offsets."""
     src, tgt = [], []

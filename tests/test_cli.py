@@ -10,6 +10,7 @@ import pytest
 
 from graphfuse import cli
 from graphfuse.cli import main
+from graphfuse.errors import ParseError
 from graphfuse.model import build_config
 from graphfuse.rng import RngState
 from graphfuse.training import TrainConfig
@@ -412,6 +413,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "batch_size must be >= 1" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train", "{bad}", "--valid", "{data}/valid.conll",
+         "--out", "{tmp}/o"],
+        ["predict", "--checkpoint", "{run}/checkpoint.npz", "--input", "{bad}",
+         "--output", "{tmp}/p"],
+        ["train", "--train", "{data}/valid.conll", "--valid",
+         "{data}/valid.conll", "--out", "{tmp}/o", "--config", "{bad}"],
+    ], ids=["train", "predict-input", "config"])
+    def test_non_utf8_error_names_file_and_line(self, workdir, tmp_path,
+                                                capsys, argv, newline):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a O" + newline + newline + b"c\xff O\n")  # 0xff on line 3
+        paths = {"bad": bad, "data": workdir / "data", "run": workdir / "run",
+                 "tmp": tmp_path}
+        code = run_cli([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: line 3: {bad} is not UTF-8: byte 0xff "
+                       f"(invalid start byte)\n")
+
+
+    def test_non_utf8_line_past_first_read_chunk(self, tmp_path):
+        path = tmp_path / "long.conll"
+        path.write_bytes(b"a O\r\n" * 5000 + b"c O\n\xfe O\n")
+        with pytest.raises(ParseError, match=r"^line 5002: .* byte 0xfe "):
+            cli._read_text(str(path))
 
 
 # values of the wrong JSON type for any config or metadata key

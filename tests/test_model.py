@@ -25,9 +25,9 @@ def build_world(variant="full", n_sents=4, seed=0, **cfg_kw):
         corpus.append(Sentence(toks, labs))
     tv = TokenVocab([t for s in corpus for t in s.tokens])
     lv = LabelVocab([l for s in corpus for l in s.labels] + ["B-A", "B-B"])
-    cfg = ModelConfig(vocab_size=len(tv), n_labels=len(lv), d_emb=8, d=8,
-                      gat_hidden=8, gat_heads=2, dec_heads=2, dropout=0.1,
-                      variant=variant, max_len=16, **cfg_kw)
+    dims = dict(d_emb=8, d=8, gat_hidden=8, gat_heads=2, dec_heads=2)
+    cfg = ModelConfig(vocab_size=len(tv), n_labels=len(lv), dropout=0.1,
+                      variant=variant, max_len=16, **{**dims, **cfg_kw})
     model = TokenClassifier(cfg, tv, lv, RngState(seed + 100))
     batches = make_batches(corpus, 2, 16, tv, lv)
     return model, batches
@@ -119,6 +119,42 @@ class TestForwardBackward:
                           variant="full")
         with pytest.raises(ConfigError):
             TokenClassifier(cfg, model.token_vocab, model.label_vocab, RngState(0))
+
+
+def buffers_of_shape(loss, shape):
+    """The dtype of each buffer that the graph behind ``loss`` keeps alive
+    and sees with ``shape``: through a node's ``.data`` or an array in its
+    backward closure's cells. Views count with the buffer they look into."""
+    dtypes: dict[int, np.dtype] = {}
+    seen: set[int] = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        cells = (node._backward_fn.__closure__ or ()) if node._backward_fn else ()
+        for value in [node.data, *(cell.cell_contents for cell in cells)]:
+            if isinstance(value, np.ndarray) and value.shape == shape:
+                root = value
+                while root.base is not None:
+                    root = root.base
+                dtypes[id(root)] = value.dtype
+        stack.extend(node._parents)
+    return list(dtypes.values())
+
+
+def test_training_graph_keeps_four_attention_maps():
+    """A full training graph keeps one float64 (B, heads, n, n) map per
+    attention, the weights, plus the GAT's dropout mask: 4 in all."""
+    model, batches = build_world("full", seed=5, d_emb=32, d=32, gat_hidden=32,
+                                 gat_heads=8, dec_heads=8)
+    batch = batches[0]
+    B, n = batch.token_ids.shape
+    loss = model.loss(batch, RngState(3), training=True)
+    maps = buffers_of_shape(loss, (B, 8, n, n))
+    assert maps.count(np.float64) <= 4
+    assert maps.count(np.bool_) == 1  # the GAT's logit signs
 
 
 def test_every_tensor_op_is_reached():

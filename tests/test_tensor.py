@@ -12,8 +12,8 @@ from graphfuse.layers import apply_dropout
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from oracles import (finite_difference, max_rel_err,
-                     scatter_add_rows_reference)
+from oracles import (finite_difference, leaky_relu, masked_softmax,
+                     max_rel_err, scatter_add_rows_reference)
 
 
 class TestMatmul:
@@ -103,92 +103,216 @@ def all_keys(shape):
     return np.ones((shape[0], shape[-1]), dtype=bool)
 
 
+# Key masks over n_k = 5 keys; in row 1 the only real key is the first.
+PAD_MASK = np.array([[True, True, True, False, False],
+                     [True, False, False, False, False]])
+# an inverted-dropout mask over the (B, h, n, n) = (2, 3, 5, 5) GAT map
+KEEP = T.dropout_mask((2, 3, 5, 5), 0.3, RngState(21))
+FUSED_OPS = ["attention", "graph_attention", "graph_attention_keep"]
+
+
+def at_keys(arr, axis, real=False):
+    """The entries of ``arr`` at PAD_MASK's pad (or real) keys along ``axis``."""
+    mask = PAD_MASK if real else ~PAD_MASK
+    return np.moveaxis(arr, axis, 1)[mask]
+
+
+def fused_inputs(op, rng):
+    """The float inputs of one fused op: (q, k_t, v) or (s_dst, s_src, wh)."""
+    if op == "attention":
+        return [rng.normal((2, 3, 4, 2)), rng.normal((2, 3, 2, 5)),
+                rng.normal((2, 3, 5, 2))]
+    return [rng.normal((2, 3, 5)), rng.normal((2, 3, 5)), rng.normal((2, 3, 5, 2))]
+
+
+def fused_op(op, a, b, c, collect=None):
+    if op == "attention":
+        return T.attention(a, b, c, PAD_MASK, collect)
+    keep = KEEP if op == "graph_attention_keep" else None
+    return T.graph_attention(a, b, c, PAD_MASK, keep, collect)
+
+
+def oracle_weights(op, a, b):
+    """The op's weights by the unfused composition, its forward reference."""
+    if op == "attention":
+        return masked_softmax(a @ b, PAD_MASK)
+    return masked_softmax(leaky_relu(a[..., None] + b[..., None, :]), PAD_MASK)
+
+
 class TestSoftmax:
+    """The composed masked softmax (the fused ops' forward reference) and the
+    softmax inside ``T.attention``."""
+
     def test_uniform(self):
-        out = T.softmax(Tensor([[0.0, 0.0, 0.0]]), all_keys((1, 3)))
-        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
+        out = masked_softmax(np.array([[0.0, 0.0, 0.0]]), all_keys((1, 3)))
+        np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
+        # q = 0 gives every real key the same weight
+        v = RngState(1).normal((2, 3, 5, 2))
+        weights = []
+        T.attention(np.zeros((2, 3, 4, 2)), np.ones((2, 3, 2, 5)), v,
+                    PAD_MASK, weights)
+        np.testing.assert_allclose(weights[0][0, ..., :3], 1 / 3, atol=1e-15)
+        assert (weights[0][1, ..., 0] == 1.0).all()
 
     def test_shift_invariance(self):
         x = np.array([[0.3, 1.3, 2.3]])
-        a = T.softmax(Tensor(x), all_keys(x.shape)).data
-        b = T.softmax(Tensor(x + 50.0), all_keys(x.shape)).data
+        a = masked_softmax(x, all_keys(x.shape))
+        b = masked_softmax(x + 50.0, all_keys(x.shape))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_against_scalar_reference(self):
         x = np.array([[1.0, 2.0, 3.0]])
         want = np.exp(x) / np.exp(x).sum()
-        np.testing.assert_allclose(T.softmax(Tensor(x), all_keys(x.shape)).data,
+        np.testing.assert_allclose(masked_softmax(x, all_keys(x.shape)),
                                    want, rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = RngState(2)
-        x = rng.normal((7, 11)) * 30.0
-        y = T.softmax(Tensor(x), all_keys(x.shape)).data
-        np.testing.assert_allclose(y.sum(axis=-1), np.ones(7), atol=1e-9)
-        assert (y > 0).all()
+        q, k_t, v = fused_inputs("attention", rng)
+        weights = []
+        T.attention(q * 30.0, k_t, v, all_keys((2, 5)), weights)
+        np.testing.assert_allclose(weights[0].sum(axis=-1), 1.0, atol=1e-9)
+        assert (weights[0] > 0).all()
 
     def test_grad_matches_finite_differences(self):
         rng = RngState(3)
-        x = Tensor(rng.normal((3, 4)), requires_grad=True)
-        w = rng.normal((3, 4))  # fixed projection so the loss is non-trivial
+        arrays = fused_inputs("attention", rng)
+        w = rng.normal((2, 3, 4, 2))  # fixed projection so the loss is non-trivial
+        q, k_t, v = (Tensor(a, requires_grad=True) for a in arrays)
+        mask = all_keys((2, 5))
 
-        (T.softmax(x, all_keys(x.shape)) * w).sum().backward()
+        (T.attention(q, k_t, v, mask) * w).sum().backward()
 
         def ref():
-            e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
-            return ((e / e.sum(axis=-1, keepdims=True)) * w).sum()
+            return float((T.attention(*arrays, mask).data * w).sum())
 
-        fd = finite_difference(ref, [x.data])
-        assert max_rel_err(x.grad, fd[0]) < 1e-6
+        fd = finite_difference(ref, arrays)
+        for t, want in zip((q, k_t, v), fd):
+            assert max_rel_err(t.grad, want) < 1e-6
 
     def test_key_mask_bitwise_equals_added_bias(self):
         rng = RngState(16)
-        logits = rng.normal((3, 2, 4, 5)) * 3.0
-        mask = np.array([[True, True, True, False, False],
-                         [True, False, False, False, False],  # one real key
-                         [True, True, True, True, True]])
-        w = rng.normal((3, 2, 4, 5))
-        bias = np.where(mask, 0.0, T.MASK_NEG)[:, None, None, :]
-
-        x_old = Tensor(logits.copy(), requires_grad=True)
-        y_old = T.softmax(x_old + Tensor(bias), all_keys(logits.shape))
-        (y_old * w).sum().backward()
-        x_new = Tensor(logits.copy(), requires_grad=True)
-        y_new = T.softmax(x_new, mask)
-        (y_new * w).sum().backward()
-
-        assert y_new.data.tobytes() == y_old.data.tobytes()
-        assert x_new.grad.tobytes() == x_old.grad.tobytes()
-        assert (y_new.data[1, :, :, 1:] == 0.0).all()
-        assert (y_new.data[1, :, :, 0] == 1.0).all()
+        q, k_t, v = fused_inputs("attention", rng)
+        q *= 3.0
+        bias = np.where(PAD_MASK, 0.0, T.MASK_NEG)[:, None, None, :]
+        weights = []
+        out = T.attention(q, k_t, v, PAD_MASK, weights)
+        want = masked_softmax(q @ k_t + bias, all_keys((2, 5)))
+        assert masked_softmax(q @ k_t, PAD_MASK).tobytes() == want.tobytes()
+        assert weights[0].tobytes() == want.tobytes()
+        assert out.data.tobytes() == np.matmul(want, v).tobytes()
+        assert (weights[0][1, :, :, 1:] == 0.0).all()
+        assert (weights[0][1, :, :, 0] == 1.0).all()
 
     def test_key_mask_shape_checked(self):
+        q, k_t, v = fused_inputs("attention", RngState(0))
         with pytest.raises(ShapeMismatchError):
-            T.softmax(Tensor(np.zeros((2, 3, 4))), np.ones((2, 3), bool))
+            T.attention(q, k_t, v, np.ones((2, 4), bool))
         with pytest.raises(ShapeMismatchError):
-            T.softmax(Tensor(np.zeros(3)), np.ones((3, 3), bool))
+            T.attention(q[0], k_t[0], v[0], np.ones((3, 5), bool))
+        s_dst, s_src, wh = fused_inputs("graph_attention", RngState(0))
+        with pytest.raises(ShapeMismatchError):
+            T.graph_attention(s_dst, s_src, wh, np.ones((2, 4), bool), None)
+        with pytest.raises(ShapeMismatchError):
+            T.graph_attention(s_dst, s_src[:, :, :4], wh, PAD_MASK, None)
+
+
+class TestFusedAttention:
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_forward_bitwise_equals_oracle_composition(self, op):
+        a, b, c = fused_inputs(op, RngState(22))
+        weights = []
+        out = fused_op(op, a, b, c, collect=weights)
+        want = oracle_weights(op, a, b)
+        assert weights[0].tobytes() == want.tobytes()
+        dropped = want * KEEP if op == "graph_attention_keep" else want
+        assert out.data.tobytes() == np.matmul(dropped, c).tobytes()
+
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_pad_keys_get_exactly_zero_weight(self, op):
+        a, b, c = fused_inputs(op, RngState(23))
+        # large scores and values at pads must not leak into the output
+        np.moveaxis(b, -1, 1)[~PAD_MASK] = 1e6
+        np.moveaxis(c, 2, 1)[~PAD_MASK] = 1e6
+        weights = []
+        out = fused_op(op, a, b, c, collect=weights)
+        assert (at_keys(weights[0], -1) == 0.0).all()
+        assert (weights[0][1, ..., 0] == 1.0).all()
+        assert np.abs(out.data).max() < 1e3
+
+    @pytest.mark.parametrize("op", FUSED_OPS)
+    def test_grads_match_finite_differences(self, op):
+        rng = RngState(24)
+        arrays = fused_inputs(op, rng)
+        if op != "attention":
+            # FD steps of 1e-5 must not cross the leaky ReLU's kink
+            logits = arrays[0][..., None] + arrays[1][..., None, :]
+            assert np.abs(at_keys(logits, -1, real=True)).min() > 1e-4
+        w = rng.normal(fused_op(op, *arrays).shape)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+
+        (fused_op(op, *tensors) * w).sum().backward()
+
+        fd = finite_difference(
+            lambda: float((fused_op(op, *arrays).data * w).sum()), arrays)
+        for t, want in zip(tensors, fd):
+            assert max_rel_err(t.grad, want) < 1e-6
+        # a pad key's score and value get exactly zero gradient
+        assert (at_keys(tensors[1].grad, -1) == 0.0).all()
+        assert (at_keys(tensors[2].grad, 2) == 0.0).all()
 
 
 class TestPointwise:
     def test_leaky_relu_values(self):
-        out = T.leaky_relu(Tensor([0.0, -1.0, 2.0]))
-        np.testing.assert_allclose(out.data, [0.0, -0.2, 2.0])
+        out = leaky_relu(np.array([0.0, -1.0, 2.0]))
+        np.testing.assert_allclose(out, [0.0, -0.2, 2.0])
 
     def test_leaky_relu_bitwise_equals_where(self):
         slope = T.LEAKY_RELU_SLOPE
-        x = Tensor(np.array([-3.5, -1e-300, -0.0, 0.0, 1e-300, 2.25, -7.0]),
-                   requires_grad=True)
-        out = T.leaky_relu(x)
-        want = np.where(x.data >= 0, x.data, slope * x.data)
-        assert out.data.tobytes() == want.tobytes()  # -0.0 keeps its sign bit
-        g = RngState(18).normal((7,))
+        x = np.array([-3.5, -1e-300, -0.0, 0.0, 1e-300, 2.25, -7.0])
+        want = np.where(x >= 0, x, slope * x)
+        assert leaky_relu(x).tobytes() == want.tobytes()  # -0.0 keeps its sign bit
+        # inside graph_attention: -0.0 + x is x bitwise, -0.0 included, so
+        # every row of logits is x itself
+        rng = RngState(18)
+        s_dst = Tensor(np.full((1, 1, 7), -0.0), requires_grad=True)
+        s_src = Tensor(x.reshape(1, 1, 7), requires_grad=True)
+        wh = rng.normal((1, 1, 7, 2))
+        g = rng.normal((1, 1, 7, 2))
+        mask = np.ones((1, 7), bool)
+        weights = []
+        out = T.graph_attention(s_dst, s_src, wh, mask, None, weights)
+        y = weights[0]
+        assert y.tobytes() == masked_softmax(
+            np.broadcast_to(want, (1, 1, 7, 7)), mask).tobytes()
+        # the gradient factor is 1.0 at -0.0, 0.0 and 1e-300 and the slope
+        # at -1e-300, as in where(x >= 0, 1, slope)
         (out * g).sum().backward()
-        assert x.grad.tobytes() == (g * np.where(x.data >= 0, 1.0, slope)).tobytes()
+        gy = g @ wh.transpose(0, 1, 3, 2)
+        d_logits = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+        d_x = np.where(x >= 0, 1.0, slope) * d_logits
+        np.testing.assert_allclose(s_src.grad, d_x.sum(axis=-2), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(s_dst.grad, d_x.sum(axis=-1), rtol=1e-12, atol=1e-15)
 
     def test_leaky_relu_grad_at_minus_two(self):
-        x = Tensor([-2.0], requires_grad=True)
-        T.leaky_relu(x).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.2])
+        # every logit lies near -2, so each score's gradient is the slope
+        # times the softmax backward of the logits
+        rng = RngState(18)
+        s_dst = Tensor(np.full((1, 2, 3), -1.0), requires_grad=True)
+        s_src = Tensor(-1.0 + rng.uniform(-0.3, 0.3, (1, 2, 3)), requires_grad=True)
+        wh = rng.normal((1, 2, 3, 2))
+        g = rng.normal((1, 2, 3, 2))
+        weights = []
+        out = T.graph_attention(s_dst, s_src, wh, np.ones((1, 3), bool), None,
+                                weights)
+        (out * g).sum().backward()
+        y = weights[0]
+        gy = g @ wh.transpose(0, 1, 3, 2)
+        d_logits = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+        np.testing.assert_allclose(s_src.grad, 0.2 * d_logits.sum(axis=-2),
+                                   rtol=1e-12, atol=1e-15)
+        # shifting every logit of a row by one amount leaves the row unchanged
+        np.testing.assert_allclose(s_dst.grad, 0.0, atol=1e-15)
 
     def test_elu_matches_definition(self):
         x = np.array([-2.0, -0.5, -0.0, 0.0, 1e-300, 0.7])
@@ -256,7 +380,7 @@ class TestLayerNorm:
 class TestDropoutMask:
     def test_p_zero_is_ones(self):
         m = T.dropout_mask((5, 5), 0.0, RngState(0))
-        np.testing.assert_array_equal(m.data, np.ones((5, 5)))
+        np.testing.assert_array_equal(m, np.ones((5, 5)))
 
     def test_eval_mode_is_ones(self):
         # eval mode skips the mask: apply_dropout hands back its input
@@ -265,20 +389,20 @@ class TestDropoutMask:
 
     def test_keep_rate(self):
         m = T.dropout_mask((100_000,), 0.3, RngState(7))
-        keep = float((m.data > 0).mean())
+        keep = float((m > 0).mean())
         assert abs(keep - 0.7) < 0.01
         # inverted scaling: surviving entries are 1/(1-p)
-        np.testing.assert_allclose(np.unique(m.data), [0.0, 1.0 / 0.7])
+        np.testing.assert_allclose(np.unique(m), [0.0, 1.0 / 0.7])
 
     def test_mask_is_scaled_keep_indicator(self):
         m = T.dropout_mask((64,), 0.3, RngState(11))
         keep = RngState(11).uniform(0.0, 1.0, (64,)) >= 0.3
-        assert m.data.tobytes() == (keep.astype(np.float64) / 0.7).tobytes()
+        assert m.tobytes() == (keep.astype(np.float64) / 0.7).tobytes()
 
     def test_deterministic_given_seed(self):
         a = T.dropout_mask((64,), 0.5, RngState(11))
         b = T.dropout_mask((64,), 0.5, RngState(11))
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
 
 
 class TestBackwardEngine:
@@ -408,17 +532,27 @@ class TestBackwardEngine:
         assert max_rel_err(w.grad, fd[1]) < 1e-6
 
     @pytest.mark.parametrize("op", ["softmax", "masked_softmax", "leaky_relu",
-                                    "elu"])
+                                    "leaky_relu_dropout", "elu"])
     def test_gradient_shared_by_add_stays_intact(self, op):
         # add hands one array to both parents: op(z) must not write into it
-        # before z (the op's own input) has read its pending share
+        # before z (the op's own input) has read its pending share. The
+        # softmax and leaky-ReLU backwards run inside the fused attention ops.
         rng = RngState(17)
-        x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
-        w = rng.normal((2, 3, 4))
-        mask = np.array([[True, True, False, False], [True, True, True, True]])
-        fns = {"softmax": lambda z: T.softmax(z, all_keys(z.shape)),
-               "masked_softmax": lambda z: T.softmax(z, mask),
-               "leaky_relu": lambda z: T.leaky_relu(z),
+        x = Tensor(rng.normal((2, 3, 5, 2)), requires_grad=True)
+        w = rng.normal((2, 3, 5, 2))
+        c = rng.normal((2,))
+
+        def attend(z, mask):
+            return T.attention(z, T.transpose(z, (0, 1, 3, 2)), z, mask)
+
+        def graph(z, keep):
+            return T.graph_attention(T.sum_(z, axis=-1), T.sum_(z * c, axis=-1),
+                                     z, PAD_MASK, keep)
+
+        fns = {"softmax": lambda z: attend(z, all_keys((2, 5))),
+               "masked_softmax": lambda z: attend(z, PAD_MASK),
+               "leaky_relu": lambda z: graph(z, None),
+               "leaky_relu_dropout": lambda z: graph(z, KEEP),
                "elu": lambda z: T.elu(z)}
         fn = fns[op]
         z = x * 2.0
