@@ -2,8 +2,8 @@
 
 One ``.npz`` file holds every named parameter as a float64 array (bit-exact
 round-trip) plus a JSON metadata record with the model config and both
-vocabularies. Loading rebuilds the model and overwrites its freshly
-initialized parameters with the stored ones.
+vocabularies. Loading rebuilds the model and writes the stored values,
+which must be float64 of the model's shapes, into its parameter buffer.
 """
 
 from __future__ import annotations
@@ -90,8 +90,10 @@ def load_checkpoint(path: str) -> TokenClassifier:
             f"unexpected {extra}")
     for name, p in params.items():
         arr = stored[name]
+        if arr.dtype != np.float64:
+            raise ConfigError(f"{name}: stored dtype {arr.dtype} is not float64")
         if arr.shape != p.data.shape:
             raise ConfigError(f"{name}: stored shape {arr.shape} != "
                               f"model shape {p.data.shape}")
-        p.data = arr.astype(np.float64, copy=True)
+        p.data[...] = arr
     return model

@@ -55,8 +55,13 @@ def _read_text(path: str) -> str:
                          f"({exc.reason})", line=line) from None
 
 
-def _load_corpus(path: str):
-    return parse_conll(_read_text(path))
+def _load_corpus(path: str, parse=parse_conll):
+    """``parse`` of the text of ``path``; a ParseError names the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _note_truncation(corpus, max_len: int, fate: str) -> None:
@@ -172,7 +177,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    sentences = parse_predict_input(_read_text(args.input))
+    sentences = _load_corpus(args.input, parse_predict_input)
     # opened first, so a bad --output fails before predicting
     with (contextlib.nullcontext(sys.stdout) if args.output == "-"
           else open(args.output, "w", encoding="utf-8")) as fh:

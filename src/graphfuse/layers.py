@@ -2,8 +2,9 @@
 
 Parameter containers are plain dataclasses of Tensors with a ``named``
 method so the model can assemble its flat name -> Tensor dictionary for the
-optimizer and the checkpoint. Naming matters: the optimizer skips weight
-decay for names ending in ``.b`` and names containing ``norm``.
+optimizer and the checkpoint. Naming matters: ``decayed`` exempts names
+ending in ``.b`` or containing ``.norm`` from AdamW's weight decay, and
+``FlatParams`` lays the decayed names out first.
 
 Builders take values that ``ModelConfig.validate`` has already checked
 (widths divisible by their head counts, among others) and do not check
@@ -28,6 +29,30 @@ import numpy as np
 from . import tensor as T
 from .rng import RngState
 from .tensor import Tensor
+
+
+def decayed(name: str) -> bool:
+    """Whether AdamW decays ``name``: not biases (``.b``) nor layer-norm
+    gains and biases (``...normK.*``)."""
+    return not (name.endswith(".b") or ".norm" in name)
+
+
+class FlatParams:
+    """Each parameter's ``.data`` becomes a view into ``data`` and its
+    ``.grad`` a view into ``grad`` (zeros). Decayed names come first, so the
+    decayed weights are ``data[:n_decayed]``; nothing rebinds the views."""
+
+    def __init__(self, named: dict[str, Tensor]):
+        order = sorted(named.items(), key=lambda item: not decayed(item[0]))
+        self.data = np.concatenate([p.data.reshape(-1) for _, p in order])
+        self.grad = np.zeros_like(self.data)
+        self.n_decayed = sum(p.data.size for name, p in order if decayed(name))
+        offset = 0
+        for _, p in order:
+            end = offset + p.data.size
+            p.data = self.data[offset:end].reshape(p.data.shape)
+            p.grad = self.grad[offset:end].reshape(p.data.shape)
+            offset = end
 
 
 def glorot(rng: RngState, shape: tuple[int, ...]) -> np.ndarray:

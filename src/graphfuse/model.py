@@ -21,7 +21,7 @@ from .encoder import EncoderParams, encode
 from .errors import ConfigError
 from .gat import GatParams, edge_alpha, gat_forward
 from .graph import build_fully_connected
-from .layers import Linear
+from .layers import FlatParams, Linear
 from .rng import RngState
 from .tensor import Tensor, masked_cross_entropy
 
@@ -145,6 +145,7 @@ class TokenClassifier:
             self.decoder = DecoderParams.init(
                 rng.split(), c.d, c.dec_heads, c.dropout)
         self.head = Linear.init(rng.split(), c.d, c.n_labels)
+        self.flat = FlatParams(self.parameters())
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -159,8 +160,7 @@ class TokenClassifier:
         return out
 
     def zero_grad(self) -> None:
-        for p in self.parameters().values():
-            p.zero_grad()
+        self.flat.grad.fill(0.0)
 
     # -- forward paths --------------------------------------------------------
 

@@ -13,7 +13,8 @@ Design notes
   gat, full) use, in training and in prediction. A new op comes in the
   same change as its caller; ``tests/test_model.py`` fails when a public
   function here is left unreached.
-* Gradients accumulate across ``backward`` calls until ``zero_grad``.
+* Gradients accumulate across ``backward`` calls until the caller clears
+  them; ``TokenClassifier.zero_grad`` zeroes the model's gradient buffer.
   Intermediate results keep ``.grad is None``.
 * A binary op's backward returns ``None`` for an operand that did not
   require grad when the op ran (dropout and padding masks, constant
@@ -119,9 +120,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

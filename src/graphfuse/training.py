@@ -1,12 +1,12 @@
 """AdamW trainer: linear warmup/decay, global-norm clipping, early stopping
 on validation micro-F1, deterministic given the seed.
 
-AdamW keeps its first and second moments in one flat buffer each, laid out
-on the first step with the weight-decayed parameters first. A step is a few
-vector operations over all parameters plus one in-place write per
-parameter, and is bitwise equal to a per-parameter loop because every
-element sees the same operations in the same order. ``OptState.m[name]`` and
-``OptState.v[name]`` are views into the buffers.
+The model keeps its parameters in one flat buffer and their gradients in a
+second (``layers.FlatParams``, decayed names first). AdamW keeps its first
+and second moments in two more buffers of that layout, so a step is a few
+vector operations over all parameters. It is bitwise equal to a
+per-parameter loop because every element sees the same operations in the
+same order. The best-epoch snapshot is one copy of the parameter buffer.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 from .data import Corpus, make_batches
 from .errors import ConfigError, ContractError, TrainingDivergedError
 from .evaluation import evaluate
+from .layers import FlatParams
 from .model import TokenClassifier
 from .rng import RngState
-from .tensor import Tensor
 
 ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
 ADAM_EPS = 1e-8            # added to the root of the second moment
@@ -83,75 +83,39 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float) -> float:
 
 
 class OptState:
-    """Flat AdamW moment buffers, their layout and the shared step counter."""
+    """AdamW's moments, laid out like the parameter buffer, and its step."""
 
-    def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.step = 0
-        self.order: list[str] = []  # parameter names in buffer order
-        self.n_decayed = 0          # the first n_decayed names are decayed
-        self.flat_m = self.flat_v = np.zeros(0)
-
-    def lay_out(self, params: dict[str, Tensor]) -> None:
-        self.order = sorted(params, key=lambda name: not _decayed(name))
-        self.n_decayed = sum(map(_decayed, self.order))
-        total = sum(p.data.size for p in params.values())
-        self.flat_m, self.flat_v = np.zeros(total), np.zeros(total)
-        offset = 0
-        for name in self.order:
-            shape, size = params[name].data.shape, params[name].data.size
-            self.m[name] = self.flat_m[offset:offset + size].reshape(shape)
-            self.v[name] = self.flat_v[offset:offset + size].reshape(shape)
-            offset += size
 
 
-def _decayed(name: str) -> bool:
-    # biases (".b") and layer-norm gains/biases ("...normK.*") are exempt
-    return not (name.endswith(".b") or ".norm" in name)
-
-
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptState, lr: float, config: TrainConfig) -> None:
-    """One decoupled-weight-decay Adam update, in place, over the flat moments."""
-    if not state.m:
-        state.lay_out(params)
-    if params.keys() != state.m.keys():
-        raise ContractError("adamw_step got other parameters than its state "
-                            "was laid out for")
-    for name, p in params.items():
-        if grads[name].shape != p.data.shape or state.m[name].shape != p.data.shape:
-            raise ContractError(f"{name}: grad {grads[name].shape} and moments "
-                                f"{state.m[name].shape} vs param {p.data.shape}")
+def adamw_step(flat: FlatParams, state: OptState, lr: float,
+               config: TrainConfig) -> None:
+    """One decoupled-weight-decay Adam update of ``flat.data``, in place,
+    from the gradients in ``flat.grad``."""
+    if state.m.size != flat.data.size:
+        raise ContractError(f"adamw_step got {flat.data.size} parameter values; "
+                            f"its state holds moments for {state.m.size}")
     b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    order = state.order
-    g = np.concatenate([grads[name].reshape(-1) for name in order])
-    m, v = state.flat_m, state.flat_v
+    g, m, v = flat.grad, state.m, state.v
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
-    g *= g
-    g *= 1.0 - b2
-    v += g
+    v += (1.0 - b2) * (g * g)
     update = v / bc2
     np.sqrt(update, out=update)
     update += ADAM_EPS
     np.divide(m / bc1, update, out=update)
-    if config.weight_decay and state.n_decayed:
-        decay = np.concatenate([params[name].data.reshape(-1)
-                                for name in order[:state.n_decayed]])
-        decay *= config.weight_decay
-        update[:decay.size] += decay
+    if config.weight_decay:
+        update[:flat.n_decayed] += config.weight_decay * flat.data[:flat.n_decayed]
     update *= lr
-    offset = 0
-    for name in order:
-        p = params[name]
-        p.data -= update[offset:offset + p.data.size].reshape(p.data.shape)
-        offset += p.data.size
+    flat.data -= update
 
 
 @dataclass
@@ -189,10 +153,11 @@ def train(model: TokenClassifier, corpora: dict[str, Corpus],
 
     steps_per_epoch = math.ceil(len(train_corpus) / config.batch_size)
     total_steps = steps_per_epoch * config.epochs
-    params = model.parameters()
-    state = OptState()
+    flat = model.flat
+    grads = [p.grad for p in model.parameters().values()]
+    state = OptState(flat.data.size)
     result = TrainResult()
-    best_params: dict[str, np.ndarray] | None = None
+    best: np.ndarray | None = None
     stale_evals = 0
     global_step = 0
 
@@ -209,11 +174,10 @@ def train(model: TokenClassifier, corpora: dict[str, Corpus],
                 raise TrainingDivergedError(
                     f"non-finite loss ({value}) at optimizer step {global_step}")
             loss.backward()
-            grads = {name: p.grad for name, p in params.items()}
-            clip_gradients(list(grads.values()), config.clip_norm)
+            clip_gradients(grads, config.clip_norm)
             lr = lr_schedule(global_step, total_steps, config.warmup_ratio,
                              config.learning_rate)
-            adamw_step(params, grads, state, lr, config)
+            adamw_step(flat, state, lr, config)
             epoch_loss += value
             global_step += 1
 
@@ -229,14 +193,13 @@ def train(model: TokenClassifier, corpora: dict[str, Corpus],
         if micro > result.best_micro:
             result.best_micro = micro
             result.best_epoch = epoch
-            best_params = {k: p.data.copy() for k, p in params.items()}
+            best = flat.data.copy()
             stale_evals = 0
         else:
             stale_evals += 1
             if stale_evals >= config.early_stop_patience:
                 break
 
-    if best_params is not None:
-        for name, p in params.items():
-            p.data = best_params[name]
+    if best is not None:
+        flat.data[...] = best
     return result

@@ -21,3 +21,20 @@ def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,
         mask[b, :n] = True
         label_ids[b, :n] = rng.integers(0, n_labels, (n,))
     return Batch(token_ids, mask, label_ids, list(lengths))
+
+
+def assert_views_of_flat(model):
+    """Every parameter's .data and .grad are views into the model's two flat
+    buffers, at the same offset in each, and together they tile both."""
+    flat = model.flat
+    slots = []
+    for p in model.parameters().values():
+        assert p.data.base is flat.data and p.grad.base is flat.grad
+        start = p.data.ctypes.data - flat.data.ctypes.data
+        assert p.grad.ctypes.data - flat.grad.ctypes.data == start
+        slots.append((start // flat.data.itemsize, p.data.size))
+    offset = 0
+    for start, size in sorted(slots):
+        assert start == offset
+        offset += size
+    assert offset == flat.data.size == flat.grad.size

@@ -15,6 +15,8 @@ from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
 from graphfuse.synth import copy_spec, generate
 
+from helpers import assert_views_of_flat
+
 
 @pytest.fixture()
 def setup():
@@ -36,6 +38,7 @@ class TestRoundTrip:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(str(path), model)
         loaded = load_checkpoint(str(path))
+        assert_views_of_flat(loaded)
         orig = model.parameters()
         new = loaded.parameters()
         assert set(orig) == set(new)
@@ -82,7 +85,7 @@ class TestRoundTrip:
 
         monkeypatch.setattr(np, "savez", fail)
         for p in model.parameters().values():
-            p.data = p.data + 1.0
+            p.data += 1.0
         with pytest.raises(OSError):
             save_checkpoint(str(path), model)
         monkeypatch.undo()

@@ -437,6 +437,47 @@ class TestExitCodes:
                        f"(invalid start byte)\n")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train", "{bad}", "--valid", "{data}/valid.conll",
+         "--out", "{tmp}/o"],
+        ["train", "--train", "{data}/valid.conll", "--valid", "{bad}",
+         "--out", "{tmp}/o"],
+        ["eval", "--checkpoint", "{run}/checkpoint.npz", "--test", "{bad}",
+         "--out", "{tmp}/e"],
+        ["predict", "--checkpoint", "{run}/checkpoint.npz", "--input", "{bad}",
+         "--output", "{tmp}/p"],
+    ], ids=["train", "valid", "eval-test", "predict-input"])
+    def test_parse_error_names_file_and_line(self, workdir, tmp_path, capsys,
+                                             argv):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("a O\nb O\n\nc d e\n")  # three fields on line 4
+        paths = {"bad": bad, "data": workdir / "data", "run": workdir / "run",
+                 "tmp": tmp_path}
+        code = run_cli([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: line 4: expected 'token")
+        assert "got 3 fields" in err
+
+    @pytest.mark.parametrize("retype", [
+        lambda a: np.full(a.shape, "x"), lambda a: a + 1j,
+        lambda a: a.astype(np.int64), lambda a: a.astype(np.float32)],
+        ids=["str", "complex128", "int64", "float32"])
+    def test_checkpoint_entry_not_float64_exit_2(self, workdir, tmp_path,
+                                                 capsys, retype):
+        blob = dict(np.load(workdir / "run" / "checkpoint.npz",
+                            allow_pickle=False))
+        blob["param::head.out.b"] = retype(blob["param::head.out.b"])
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **blob)
+        code = run_cli(["predict", "--checkpoint", str(bad), "--input",
+                        str(workdir / "data" / "test.conll"),
+                        "--output", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "head.out.b" in err and "float64" in err
+        assert "Traceback" not in err
+
     def test_non_utf8_line_past_first_read_chunk(self, tmp_path):
         path = tmp_path / "long.conll"
         path.write_bytes(b"a O\r\n" * 5000 + b"c O\n\xfe O\n")

@@ -1,16 +1,20 @@
 """Model assembly tests across the three variants."""
 
 import inspect
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 
+from graphfuse import layers
 from graphfuse import tensor as T
 from graphfuse.data import LabelVocab, Sentence, TokenVocab, make_batches
 from graphfuse.errors import ConfigError
 from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
+
+from helpers import assert_views_of_flat
 
 
 def build_world(variant="full", n_sents=4, seed=0, **cfg_kw):
@@ -102,8 +106,37 @@ class TestForwardBackward:
     def test_zero_grad_clears(self):
         model, batches = build_world("full", seed=3)
         model.loss(batches[0], RngState(1)).backward()
+        assert np.any(model.flat.grad != 0.0)
         model.zero_grad()
-        assert all(p.grad is None for p in model.parameters().values())
+        assert_views_of_flat(model)
+        assert all(not np.any(p.grad) for p in model.parameters().values())
+
+    @pytest.mark.parametrize("variant", ["encoder", "gat", "full"])
+    def test_parameters_are_views_of_the_flat_buffers(self, variant):
+        model, batches = build_world(variant, seed=5)
+        assert_views_of_flat(model)
+        assert not np.any(model.flat.grad)
+        # decayed names first: the flat prefix is exactly the decayed weights
+        params = model.parameters()
+        decayed = [p for name, p in params.items() if layers.decayed(name)]
+        assert model.flat.n_decayed == sum(p.data.size for p in decayed)
+        prefix = model.flat.data[:model.flat.n_decayed]
+        assert all(np.shares_memory(p.data, prefix) for p in decayed)
+        model.loss(batches[0], RngState(1)).backward()
+        assert_views_of_flat(model)
+
+    def test_no_source_line_rebinds_a_parameter(self):
+        """The only ``.data =`` bindings are the Tensor constructor's, the
+        flat buffer's, and the one that makes a parameter a view of it."""
+        src = pathlib.Path(T.__file__).parent
+        found = sorted(f"{path.name}: {line.strip()}"
+                       for path in src.glob("*.py")
+                       for line in path.read_text().splitlines()
+                       if ".data = " in line)
+        assert found == [
+            "layers.py: p.data = self.data[offset:end].reshape(p.data.shape)",
+            "layers.py: self.data = np.concatenate([p.data.reshape(-1) for _, p in order])",
+            "tensor.py: self.data = np.asarray(data, dtype=np.float64)"]
 
     def test_predict_lengths_and_range(self):
         model, batches = build_world("full", seed=4)

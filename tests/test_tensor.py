@@ -327,7 +327,7 @@ class TestPointwise:
         # avoid FD across the kink by construction: no |x| < 1e-3 in sample
         assert np.abs(x.data).min() > 1e-3
         got = x.grad.copy()
-        x.zero_grad()
+        x.grad = None
         fd = finite_difference(
             lambda: float(np.where(x.data > 0, x.data, np.exp(x.data) - 1).sum()),
             [x.data])
@@ -452,8 +452,9 @@ class TestBackwardEngine:
         first = x.grad.copy()
         (x * x).sum().backward()
         np.testing.assert_allclose(x.grad, 2 * first)
-        x.zero_grad()
-        assert x.grad is None
+        x.grad = None  # a standalone leaf starts again from None
+        (x * x).sum().backward()
+        assert x.grad.tobytes() == first.tobytes()
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

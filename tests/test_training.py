@@ -6,6 +6,7 @@ import pytest
 
 from graphfuse.data import build_label_vocab, build_token_vocab
 from graphfuse.errors import ConfigError, ContractError, TrainingDivergedError
+from graphfuse.layers import FlatParams
 from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
 from graphfuse.synth import copy_spec, generate
@@ -21,6 +22,7 @@ from graphfuse.training import (
     train,
 )
 
+from helpers import assert_views_of_flat
 from oracles import adamw_step_reference
 
 
@@ -88,6 +90,21 @@ def opt_config(weight_decay=0.0):
     return TrainConfig(weight_decay=weight_decay)
 
 
+def laid_out(params, grads=None):
+    """``params`` moved into a FlatParams, each gradient set to ``grads[name]``
+    (zero when not given), and a fresh OptState for that layout."""
+    flat = FlatParams(params)
+    for name, g in (grads or {}).items():
+        params[name].grad[...] = g
+    return flat, OptState(flat.data.size)
+
+
+def slot(flat, p, buffer):
+    """The view of ``buffer``, laid out like ``flat.data``, at ``p``'s slot."""
+    start = (p.data.ctypes.data - flat.data.ctypes.data) // flat.data.itemsize
+    return buffer[start:start + p.data.size].reshape(p.data.shape)
+
+
 class TestAdamW:
     def test_scalar_hand_oracle(self):
         """theta=1, g=1, lr=0.1, betas=(0.9,0.999), eps=1e-8, wd=0.01.
@@ -97,23 +114,23 @@ class TestAdamW:
         theta1 = 1 - 0.1*update
         """
         p = Tensor(np.array([1.0]), requires_grad=True)
-        state = OptState()
-        adamw_step({"w": p}, {"w": np.array([1.0])}, state, 0.1,
-                   opt_config(weight_decay=0.01))
+        flat, state = laid_out({"w": p}, {"w": np.array([1.0])})
+        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.01))
         expect = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.01)
         assert p.data[0] == pytest.approx(expect, abs=1e-15)
         assert state.step == 1
-        assert state.m["w"][0] == pytest.approx(0.1)
-        assert state.v["w"][0] == pytest.approx(0.001)
+        assert state.m[0] == pytest.approx(0.1)
+        assert state.v[0] == pytest.approx(0.001)
 
     def test_two_steps_match_manual_recurrence(self):
         p = Tensor(np.array([0.5]), requires_grad=True)
-        state = OptState()
+        flat, state = laid_out({"w": p})
         cfg = opt_config()
         m = v = 0.0
         theta = 0.5
         for step, g in enumerate([0.3, -0.2], start=1):
-            adamw_step({"w": p}, {"w": np.array([g])}, state, 0.05, cfg)
+            p.grad[...] = g
+            adamw_step(flat, state, 0.05, cfg)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1 - 0.9 ** step)
@@ -125,11 +142,9 @@ class TestAdamW:
         w = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)
         gain = Tensor(np.array([1.0]), requires_grad=True)
-        grads = {"lin.w": np.zeros(1), "lin.b": np.zeros(1),
-                 "blk.norm1.gain": np.zeros(1)}
-        state = OptState()
-        adamw_step({"lin.w": w, "lin.b": b, "blk.norm1.gain": gain}, grads,
-                   state, 0.1, opt_config(weight_decay=0.5))
+        flat, state = laid_out({"lin.w": w, "lin.b": b, "blk.norm1.gain": gain})
+        assert flat.n_decayed == 1
+        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.5))
         # zero gradient => only decay moves parameters
         assert w.data[0] == pytest.approx(1.0 - 0.1 * 0.5 * 1.0)
         assert b.data[0] == 1.0
@@ -137,26 +152,23 @@ class TestAdamW:
 
     def test_decay_uses_pre_step_theta(self):
         p = Tensor(np.array([2.0]), requires_grad=True)
-        state = OptState()
-        adamw_step({"w": p}, {"w": np.array([1.0])}, state, 0.1,
-                   opt_config(weight_decay=0.1))
+        flat, state = laid_out({"w": p}, {"w": np.array([1.0])})
+        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.1))
         expect = 2.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.1 * 2.0)
         assert p.data[0] == pytest.approx(expect, abs=1e-14)
 
-    def test_shape_mismatch_raises(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        state = OptState()
-        with pytest.raises(ContractError):
-            adamw_step({"w": p}, {"w": np.zeros(3)}, state, 0.1,
-                       opt_config())
-
     def test_other_parameters_than_laid_out_raise(self):
-        state = OptState()
-        adamw_step({"w": Tensor(np.zeros(2))}, {"w": np.ones(2)}, state, 0.1,
-                   opt_config())
+        flat, state = laid_out({"w": Tensor(np.zeros(2))}, {"w": np.ones(2)})
+        adamw_step(flat, state, 0.1, opt_config())
+        other, _ = laid_out({"u": Tensor(np.zeros(3))}, {"u": np.ones(3)})
         with pytest.raises(ContractError):
-            adamw_step({"u": Tensor(np.zeros(2))}, {"u": np.ones(2)}, state,
-                       0.1, opt_config())
+            adamw_step(other, state, 0.1, opt_config())
+
+    def test_step_leaves_gradients_alone(self):
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        flat, state = laid_out({"w": p}, {"w": np.array([0.5, -3.0])})
+        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.01))
+        assert np.array_equal(p.grad, [0.5, -3.0])
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_flat_update_bitwise_equals_per_parameter_reference(self, weight_decay):
@@ -170,18 +182,23 @@ class TestAdamW:
         params = {name: Tensor(a.copy(), requires_grad=True)
                   for name, a in start.items()}
         ref = {name: a.copy() for name, a in start.items()}
-        state, ref_state = OptState(), {}
+        flat, state = laid_out(params)
+        ref_state = {}
         cfg = TrainConfig(weight_decay=weight_decay)
         for step, lr in enumerate([0.1, 0.05, 0.2, 0.01, 0.3]):
             grads = {name: rng.normal(shape, std=10.0 ** (step - 2))
                      for name, shape in shapes.items()}
-            adamw_step(params, grads, state, lr, cfg)
+            for name, g in grads.items():
+                params[name].grad[...] = g
+            adamw_step(flat, state, lr, cfg)
             adamw_step_reference(ref, grads, ref_state, lr, ADAM_BETAS,
                                  ADAM_EPS, cfg.weight_decay)
-            for name in shapes:
-                assert params[name].data.tobytes() == ref[name].tobytes(), name
-                assert state.m[name].tobytes() == ref_state["m", name].tobytes()
-                assert state.v[name].tobytes() == ref_state["v", name].tobytes()
+            for name, p in params.items():
+                assert p.data.tobytes() == ref[name].tobytes(), name
+                assert (slot(flat, p, state.m).tobytes()
+                        == ref_state["m", name].tobytes()), name
+                assert (slot(flat, p, state.v).tobytes()
+                        == ref_state["v", name].tobytes()), name
         assert state.step == ref_state["step"] == 5
 
 
@@ -281,6 +298,7 @@ class TestTrainLoop:
                           max_len=16, seed=5,
                           early_stop_patience=10)
         result = train(model, corpora, cfg)
+        assert_views_of_flat(model)
         from graphfuse.evaluation import evaluate
         report = evaluate(model, corpora["valid"], batch_size=8, max_len=16)
         assert report.micro["f1"] == pytest.approx(result.best_micro)
