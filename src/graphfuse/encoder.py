@@ -86,17 +86,12 @@ def encode(batch: Batch, params: EncoderParams, rng: RngState | None,
     attention via the key mask, so they never influence real tokens.
     """
     B, n = batch.token_ids.shape
-    ids = batch.token_ids.reshape(-1)
-    vocab_size = params.embedding.shape[0]
-    if ids.max(initial=0) >= vocab_size or ids.min(initial=0) < 0:
-        raise ContractError(
-            f"token id out of range for embedding table of {vocab_size}")
     if n > params.positional.shape[0]:
         raise ContractError(
             f"sequence length {n} exceeds positional table "
             f"{params.positional.shape[0]}")
 
-    x = T.gather_rows(params.embedding, ids).reshape(B, n, -1)
+    x = T.gather_rows(params.embedding, batch.token_ids.reshape(-1)).reshape(B, n, -1)
     x = x + Tensor(params.positional[:n])
     x = apply_dropout(x, params.dropout, rng, training)
     for block in params.blocks:

@@ -40,10 +40,12 @@ def decayed(name: str) -> bool:
 class FlatParams:
     """Each parameter's ``.data`` becomes a view into ``data`` and its
     ``.grad`` a view into ``grad`` (zeros). Decayed names come first, so the
-    decayed weights are ``data[:n_decayed]``; nothing rebinds the views."""
+    decayed weights are ``data[:n_decayed]``; nothing rebinds the views.
+    ``layout`` is the JSON-exact ``[name, shape]`` list in buffer order."""
 
     def __init__(self, named: dict[str, Tensor]):
         order = sorted(named.items(), key=lambda item: not decayed(item[0]))
+        self.layout = [[name, list(p.data.shape)] for name, p in order]
         self.data = np.concatenate([p.data.reshape(-1) for _, p in order])
         self.grad = np.zeros_like(self.data)
         self.n_decayed = sum(p.data.size for name, p in order if decayed(name))

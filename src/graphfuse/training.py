@@ -42,14 +42,14 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0.0 <= self.warmup_ratio < 1.0:
             raise ConfigError(f"warmup_ratio must lie in [0,1), got {self.warmup_ratio}")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0 < self.clip_norm < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"clip_norm must be positive and finite, got {self.clip_norm}")
         if self.early_stop_patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.early_stop_patience}")
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for key in ("learning_rate", "weight_decay"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{key} must be >= 0 and finite, got {value}")
         if self.epochs < 1 or self.batch_size < 1 or self.max_len < 1:
             raise ConfigError("epochs, batch_size and max_len must all be >= 1")
         if self.seed < 0:

@@ -25,16 +25,18 @@ def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,
 
 def assert_views_of_flat(model):
     """Every parameter's .data and .grad are views into the model's two flat
-    buffers, at the same offset in each, and together they tile both."""
+    buffers, at the same offset in each, and together they tile both in
+    ``flat.layout`` order."""
     flat = model.flat
-    slots = []
-    for p in model.parameters().values():
+    params = model.parameters()
+    assert sorted(name for name, _ in flat.layout) == sorted(params)
+    offset = 0
+    for name, shape in flat.layout:
+        p = params[name]
         assert p.data.base is flat.data and p.grad.base is flat.grad
+        assert list(p.data.shape) == shape, name
         start = p.data.ctypes.data - flat.data.ctypes.data
         assert p.grad.ctypes.data - flat.grad.ctypes.data == start
-        slots.append((start // flat.data.itemsize, p.data.size))
-    offset = 0
-    for start, size in sorted(slots):
-        assert start == offset
-        offset += size
+        assert start == offset * flat.data.itemsize, name
+        offset += p.data.size
     assert offset == flat.data.size == flat.grad.size

@@ -3,6 +3,7 @@
 import json
 import struct
 import zipfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ class TestRoundTrip:
         save_checkpoint(str(path), model)
         loaded = load_checkpoint(str(path))
         assert_views_of_flat(loaded)
+        assert loaded.flat.data.tobytes() == model.flat.data.tobytes()
         orig = model.parameters()
         new = loaded.parameters()
         assert set(orig) == set(new)
@@ -54,6 +56,17 @@ class TestRoundTrip:
         a = predict_corpus(model, sents, batch_size=4, max_len=16)
         b = predict_corpus(loaded, sents, batch_size=4, max_len=16)
         assert a == b
+
+    def test_archive_holds_meta_and_flat_params(self, setup, tmp_path):
+        model, _ = setup
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(str(path), model)
+        with np.load(path, allow_pickle=False) as blob:
+            assert sorted(blob.files) == ["__meta__", "params"]
+            meta = json.loads(str(blob["__meta__"]))
+            assert blob["params"].tobytes() == model.flat.data.tobytes()
+        assert meta["format_version"] == 2
+        assert meta["layout"] == model.flat.layout
 
     def test_vocabs_restored(self, setup, tmp_path):
         model, _ = setup
@@ -95,13 +108,22 @@ class TestRoundTrip:
             assert np.array_equal(loaded[name].data, want), name
 
 
-def _edit_meta(edit):
+def _edit_archive(edit):
+    """Rewrite the archive with ``edit`` applied to its name -> array dict."""
     def mutate(path):
-        blob = dict(np.load(path, allow_pickle=False))
-        blob["__meta__"] = np.array(json.dumps(edit(json.loads(str(blob["__meta__"])))))
+        blob = edit(dict(np.load(path, allow_pickle=False)))
         with open(path, "wb") as fh:
             np.savez(fh, **blob)
     return mutate
+
+
+def _edit_meta(edit):
+    return _edit_archive(lambda blob: {**blob, "__meta__": np.array(
+        json.dumps(edit(json.loads(str(blob["__meta__"])))))})
+
+
+def _edit_layout(edit):
+    return _edit_meta(lambda m: {**m, "layout": edit(m["layout"])})
 
 
 def _truncate(path):
@@ -174,6 +196,18 @@ CORRUPTIONS = {
     "unknown-zip-version": _central_entry_byte(6, 99),
     "unbalanced-npy-shape": _edit_npy_header(b"), }", b"(, }"),
     "garbled-npy-dtype": _edit_npy_header(b"'<f8'", b"',f8'"),
+    # the stored layout must equal the rebuilt model's, entry for entry
+    "layout-renamed-entry": _edit_layout(
+        lambda l: [["bogus", l[0][1]], *l[1:]]),
+    "layout-changed-shape": _edit_layout(
+        lambda l: [[l[0][0], [l[0][1][0] + 1, *l[0][1][1:]]], *l[1:]]),
+    "layout-swapped-entries": _edit_layout(lambda l: [l[1], l[0], *l[2:]]),
+    "layout-not-a-list": _edit_layout(lambda l: dict(l)),
+    "no-params": _edit_archive(
+        lambda b: {k: v for k, v in b.items() if k != "params"}),
+    "params-one-short": _edit_archive(
+        lambda b: {**b, "params": b["params"][:-1]}),
+    "extra-entry": _edit_archive(lambda b: {**b, "extra": np.zeros(3)}),
 }
 
 
@@ -195,6 +229,21 @@ class TestErrors:
         path = tmp_path / "junk.npz"
         np.savez(open(path, "wb"), foo=np.zeros(3))
         with pytest.raises(ConfigError):
+            load_checkpoint(str(path))
+
+    def test_version_1_archive(self, setup, tmp_path):
+        """A version 1 file stored one ``param::<name>`` entry per parameter
+        and no layout; it is refused by its version, with a hint to retrain."""
+        model, _ = setup
+        meta = {"format_version": 1, "config": asdict(model.config),
+                "token_vocab": model.token_vocab.token_to_id,
+                "label_vocab": model.label_vocab.label_to_id}
+        path = tmp_path / "ckpt.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.array(json.dumps(meta)),
+                     **{f"param::{name}": p.data
+                        for name, p in model.parameters().items()})
+        with pytest.raises(ConfigError, match="version 1.*retrain"):
             load_checkpoint(str(path))
 
     def test_wrong_version(self, setup, tmp_path):

@@ -46,6 +46,11 @@ BAD_CONFIGS = {
                      "unknown config key(s): train.eps"),
     "negative-weight-decay": ({"train": {"weight_decay": -5}},
                               "weight_decay must be >= 0"),
+    # json reads NaN; a NaN used to pass validation and fail the first step
+    "nan-weight-decay": ({"train": {"weight_decay": float("nan")}},
+                         "weight_decay must be >= 0 and finite"),
+    "nan-clip-norm": ({"train": {"clip_norm": float("nan")}},
+                      "clip_norm must be positive and finite"),
 }
 
 # commands that hit an OS error, each of which must end in exit 2; {file} is
@@ -211,6 +216,18 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_flag_exit_2(self, workdir, tmp_path, capsys, lr):
+        data = workdir / "data"
+        code = run_cli(["train", "--train", str(data / "train.conll"),
+                        "--valid", str(data / "valid.conll"),
+                        "--out", str(tmp_path / "o"), "--preset", "copy",
+                        "--lr", lr])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "learning_rate must be >= 0 and finite" in err
         assert "Traceback" not in err
 
     def test_json_types_accepted(self):
@@ -467,7 +484,7 @@ class TestExitCodes:
                                                  capsys, retype):
         blob = dict(np.load(workdir / "run" / "checkpoint.npz",
                             allow_pickle=False))
-        blob["param::head.out.b"] = retype(blob["param::head.out.b"])
+        blob["params"] = retype(blob["params"])
         bad = tmp_path / "bad.npz"
         np.savez(bad, **blob)
         code = run_cli(["predict", "--checkpoint", str(bad), "--input",
@@ -475,7 +492,7 @@ class TestExitCodes:
                         "--output", str(tmp_path / "p")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "head.out.b" in err and "float64" in err
+        assert "params" in err and "float64" in err
         assert "Traceback" not in err
 
     def test_non_utf8_line_past_first_read_chunk(self, tmp_path):

@@ -1,6 +1,7 @@
 """Model assembly tests across the three variants."""
 
 import inspect
+import json
 import pathlib
 import sys
 
@@ -124,6 +125,18 @@ class TestForwardBackward:
         assert all(np.shares_memory(p.data, prefix) for p in decayed)
         model.loss(batches[0], RngState(1)).backward()
         assert_views_of_flat(model)
+
+    @pytest.mark.parametrize("variant", ["encoder", "gat", "full"])
+    def test_layout_lists_every_parameter_once_decayed_first(self, variant):
+        model, _ = build_world(variant, seed=5)
+        layout = model.flat.layout
+        params = model.parameters()
+        assert len(layout) == len(params)
+        assert {name: shape for name, shape in layout} == {
+            name: list(p.data.shape) for name, p in params.items()}
+        decay = [layers.decayed(name) for name, _ in layout]
+        assert decay == sorted(decay, reverse=True)
+        assert json.loads(json.dumps(layout)) == layout
 
     def test_no_source_line_rebinds_a_parameter(self):
         """The only ``.data =`` bindings are the Tensor constructor's, the
