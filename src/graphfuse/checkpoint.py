@@ -55,12 +55,14 @@ def load_checkpoint(path: str) -> TokenClassifier:
     # read every entry up front, so a truncated file or a bad CRC is one
     # error naming the path, not a zip error halfway through loading
     try:
-        blob = np.load(path, allow_pickle=False)
-        if isinstance(blob, np.lib.npyio.NpzFile):
-            with blob:
-                entries = {k: blob[k] for k in blob.files}
-            meta = json.loads(str(entries.pop(_META_KEY)[()])) \
-                if _META_KEY in entries else None
+        # numpy does not close a file it opened when the archive fails to parse
+        with open(path, "rb") as fh:
+            blob = np.load(fh, allow_pickle=False)
+            if isinstance(blob, np.lib.npyio.NpzFile):
+                with blob:
+                    entries = {k: blob[k] for k in blob.files}
+                meta = json.loads(str(entries.pop(_META_KEY)[()])) \
+                    if _META_KEY in entries else None
     # The block only reads the file, and damaged bytes surface as many types:
     # BadZipFile, NotImplementedError and RuntimeError from zipfile (a bad CRC,
     # compression method or flag), ValueError, SyntaxError and

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (Attention, FeedForward, LayerNorm, apply_dropout,
-                     multi_head_attention)
+from .layers import (Attention, Dropout, FeedForward, LayerNorm,
+                     apply_dropout, multi_head_attention)
 from .rng import RngState
 from .tensor import Tensor
 
@@ -28,15 +28,13 @@ class DecoderParams:
     norm1: LayerNorm
     norm2: LayerNorm
     norm3: LayerNorm
-    dropout: float = 0.0
 
     @staticmethod
-    def init(rng: RngState, d: int, n_heads: int,
-             dropout: float = 0.0) -> "DecoderParams":
+    def init(rng: RngState, d: int, n_heads: int) -> "DecoderParams":
         return DecoderParams(
             Attention.init(rng, d, n_heads), Attention.init(rng, d, n_heads),
             FeedForward.init(rng, d, 4 * d),
-            LayerNorm.init(d), LayerNorm.init(d), LayerNorm.init(d), dropout)
+            LayerNorm.init(d), LayerNorm.init(d), LayerNorm.init(d))
 
     def named(self, prefix: str = "decoder") -> dict[str, Tensor]:
         return {**self.self_attn.named(f"{prefix}.self"),
@@ -48,21 +46,19 @@ class DecoderParams:
 
 
 def decode_refine(H_gat: Tensor, pad_mask: np.ndarray, params: DecoderParams,
-                  rng: RngState | None, training: bool,
-                  collect: dict | None = None) -> Tensor:
+                  drop: Dropout | None, collect: dict | None = None) -> Tensor:
     """Refine (B, n, d) -> (B, n, d). ``pad_mask`` is True at real tokens.
 
     Cross-attention keys and values are the layer input ``H_gat`` (the
     graph-stage output); its queries are the self-attention result.
     """
-    p = params.dropout
     coll_self = collect.setdefault("dec_self", []) if collect is not None else None
     sa = multi_head_attention(params.self_attn, H_gat, H_gat, H_gat,
                               key_mask=pad_mask, collect=coll_self)
-    x = params.norm1(H_gat + apply_dropout(sa, p, rng, training))
+    x = params.norm1(H_gat + apply_dropout(sa, drop))
     coll_cross = collect.setdefault("dec_cross", []) if collect is not None else None
     ca = multi_head_attention(params.cross_attn, x, H_gat, H_gat,
                               key_mask=pad_mask, collect=coll_cross)
-    x = params.norm2(x + apply_dropout(ca, p, rng, training))
+    x = params.norm2(x + apply_dropout(ca, drop))
     ff = params.ff(x)
-    return params.norm3(x + apply_dropout(ff, p, rng, training))
+    return params.norm3(x + apply_dropout(ff, drop))

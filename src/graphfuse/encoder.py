@@ -15,8 +15,8 @@ import numpy as np
 from . import tensor as T
 from .data import Batch
 from .errors import ContractError
-from .layers import (Attention, FeedForward, LayerNorm, Linear, apply_dropout,
-                     multi_head_attention)
+from .layers import (Attention, Dropout, FeedForward, LayerNorm, Linear,
+                     apply_dropout, multi_head_attention)
 from .rng import RngState
 from .tensor import Tensor
 
@@ -58,17 +58,15 @@ class EncoderParams:
     positional: np.ndarray          # (max_len, d_emb), fixed
     blocks: list[EncoderBlock] = field(default_factory=list)
     projection: Linear = None       # d_emb -> d
-    dropout: float = 0.0
 
     @staticmethod
     def init(rng: RngState, vocab_size: int, d_emb: int, d: int,
-             n_layers: int, n_heads: int, max_len: int,
-             dropout: float) -> "EncoderParams":
+             n_layers: int, n_heads: int, max_len: int) -> "EncoderParams":
         emb = Tensor(rng.normal((vocab_size, d_emb)), requires_grad=True)
         blocks = [EncoderBlock.init(rng, d_emb, n_heads) for _ in range(n_layers)]
         proj = Linear.init(rng, d_emb, d)
         return EncoderParams(emb, positional_encoding(max_len, d_emb),
-                             blocks, proj, dropout)
+                             blocks, proj)
 
     def named(self, prefix: str = "encoder") -> dict[str, Tensor]:
         out = {f"{prefix}.embedding": self.embedding}
@@ -78,8 +76,7 @@ class EncoderParams:
         return out
 
 
-def encode(batch: Batch, params: EncoderParams, rng: RngState | None,
-           training: bool) -> Tensor:
+def encode(batch: Batch, params: EncoderParams, drop: Dropout | None) -> Tensor:
     """Contextual embeddings H with shape (B, n_max, d).
 
     Padded positions flow through position-wise ops but are excluded from
@@ -93,11 +90,11 @@ def encode(batch: Batch, params: EncoderParams, rng: RngState | None,
 
     x = T.gather_rows(params.embedding, batch.token_ids.reshape(-1)).reshape(B, n, -1)
     x = x + Tensor(params.positional[:n])
-    x = apply_dropout(x, params.dropout, rng, training)
+    x = apply_dropout(x, drop)
     for block in params.blocks:
         attn = multi_head_attention(block.attn, x, x, x,
                                     key_mask=batch.attention_mask)
-        x = block.norm1(x + apply_dropout(attn, params.dropout, rng, training))
+        x = block.norm1(x + apply_dropout(attn, drop))
         ff = block.ff(x)
-        x = block.norm2(x + apply_dropout(ff, params.dropout, rng, training))
+        x = block.norm2(x + apply_dropout(ff, drop))
     return params.projection(x)

@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .graph import EdgeIndex
-from .layers import Linear, apply_dropout, dropout_keep
+from .layers import Dropout, Linear, apply_dropout
 from .rng import RngState
 from .tensor import Tensor
 
@@ -34,7 +34,6 @@ class GatParams:
     a_dst: Tensor   # (heads, d_head) — pairs with W h_destination
     a_src: Tensor   # (heads, d_head) — pairs with W h_source
     proj: Linear    # heads*d_head -> d
-    dropout: float  # on the attention weights and on the head outputs
 
     @property
     def n_heads(self) -> int:
@@ -45,8 +44,7 @@ class GatParams:
         return self.W.shape[2]
 
     @staticmethod
-    def init(rng: RngState, d: int, hidden: int, heads: int,
-             dropout: float = 0.0) -> "GatParams":
+    def init(rng: RngState, d: int, hidden: int, heads: int) -> "GatParams":
         dh = hidden // heads
         w_lim = math.sqrt(6.0 / (d + dh))
         a_lim = math.sqrt(6.0 / (2 * dh + 1))
@@ -55,7 +53,6 @@ class GatParams:
             a_dst=Tensor(rng.uniform(-a_lim, a_lim, (heads, dh)), requires_grad=True),
             a_src=Tensor(rng.uniform(-a_lim, a_lim, (heads, dh)), requires_grad=True),
             proj=Linear.init(rng, hidden, d),
-            dropout=dropout,
         )
 
     def named(self, prefix: str = "gat") -> dict[str, Tensor]:
@@ -65,16 +62,16 @@ class GatParams:
 
 
 def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
-                rng: RngState | None, training: bool,
-                collect: list | None = None) -> Tensor:
+                drop: Dropout | None, collect: list | None = None) -> Tensor:
     """Graph-attention layer: padded (B, n, d) -> (B, n, d).
 
     ``mask`` is the (B, n) boolean attention mask (True = real token). Pad
     keys get exactly zero weight and pad rows of the output are exactly
     zero. When ``collect`` is given the (B, heads, n, n) attention array,
     before dropout, is appended to it; pad query rows of it are meaningless.
-    The attention dropout mask is drawn where the softmax ends, before the
-    head outputs' mask, so the RNG stream is that of the composed layer.
+    ``drop`` (None in eval mode) gives the (B, heads, n, n) mask on the
+    attention weights, drawn before ``T.graph_attention`` runs and before
+    the head outputs' mask, the composed layer's order of draws.
     """
     B, n, d = H.shape
     if mask.shape != (B, n):
@@ -86,11 +83,11 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
     s_dst = T.sum_(Wh * params.a_dst.reshape(1, h, 1, -1), axis=-1)  # (B, h, n)
     s_src = T.sum_(Wh * params.a_src.reshape(1, h, 1, -1), axis=-1)
 
-    keep = dropout_keep((B, h, n, n), params.dropout, rng, training)
+    keep = None if drop is None else drop.keep((B, h, n, n))
     mixed = T.graph_attention(s_dst, s_src, Wh, mask, keep, collect)
     mixed = T.transpose(mixed, (0, 2, 1, 3))                         # (B, n, h, dh)
     feats = T.elu(mixed).reshape(B, n, h * params.d_head)
-    feats = apply_dropout(feats, params.dropout, rng, training)
+    feats = apply_dropout(feats, drop)
     return params.proj(feats) * mask[..., None]
 
 

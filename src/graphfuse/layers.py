@@ -14,9 +14,16 @@ A block holds parameters only; what is fixed model-wide stays in
 ``graphfuse.tensor`` (the layer-norm epsilon). Every attention call is
 masked, so ``multi_head_attention`` requires its (B, n_k) key mask; it
 projects and splits the heads and hands the map work to the one-node
-``T.attention``. ``dropout_keep`` is the one place that skips dropout in
-eval mode or at p = 0; ``apply_dropout`` and the GAT's attention dropout
-both draw through it.
+``T.attention``.
+
+Dropout has one owner: ``TokenClassifier.forward`` builds one
+:class:`Dropout` per training pass from ``ModelConfig.dropout``, and passes
+None in eval mode or at p = 0, so a stage only asks whether it got one.
+``Dropout.keep`` always draws, and p is the validated rate, so it lies in
+[0, 1). It keeps an element where ``RngState.bernoulli(p)`` is False. That
+primitive compares raw 64-bit Philox words w with ``ceil(p·2⁵³)·2¹¹``: a
+uniform draw is ``(w >> 11)·2⁻⁵³``, so the mask and the stream position are
+bitwise those of ``uniform(0, 1) >= p``, at one comparison per element.
 """
 
 from __future__ import annotations
@@ -169,15 +176,21 @@ class FeedForward:
                 **self.outer.named(f"{prefix}.outer")}
 
 
-def dropout_keep(shape: tuple[int, ...], p: float, rng: RngState | None,
-                 training: bool) -> np.ndarray | None:
-    """An inverted-dropout mask of ``shape``, or None in eval or at p = 0."""
-    if not training or p == 0.0:
-        return None
-    return T.dropout_mask(shape, p, rng)
+@dataclass(frozen=True)
+class Dropout:
+    """One training pass's dropout: rate ``p`` and the stream its masks
+    come from, drawn in call order."""
+
+    p: float
+    rng: RngState
+
+    def keep(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Inverted-dropout mask: Bernoulli(1−p)/(1−p), exact ones at p = 0."""
+        keep = ~self.rng.bernoulli(self.p, shape)
+        # one pass; keep is 0 or 1, so this is bitwise keep / (1 - p)
+        return np.multiply(keep, 1.0 / (1.0 - self.p))
 
 
-def apply_dropout(x: Tensor, p: float, rng: RngState | None, training: bool) -> Tensor:
-    """Multiply by an inverted-dropout mask (no-op in eval or at p = 0)."""
-    keep = dropout_keep(x.shape, p, rng, training)
-    return x if keep is None else x * keep
+def apply_dropout(x: Tensor, drop: Dropout | None) -> Tensor:
+    """Multiply by an inverted-dropout mask (no-op when ``drop`` is None)."""
+    return x if drop is None else x * drop.keep(x.shape)

@@ -8,8 +8,6 @@ is shared unchanged across variants.
 
 from __future__ import annotations
 
-import functools
-import typing
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -21,7 +19,7 @@ from .encoder import EncoderParams, encode
 from .errors import ConfigError
 from .gat import GatParams, edge_alpha, gat_forward
 from .graph import build_fully_connected
-from .layers import FlatParams, Linear
+from .layers import Dropout, FlatParams, Linear
 from .rng import RngState
 from .tensor import Tensor, masked_cross_entropy
 
@@ -73,17 +71,17 @@ class ModelConfig:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
 
 
-# exact types, so a JSON true/false is not an int; an int is a valid float
-_JSON_TYPES = {int: {int}, float: {int, float}, str: {str}}
-# cached: resolving the annotations takes ~0.1 ms, 5 % of a small checkpoint load
-_type_hints = functools.cache(typing.get_type_hints)
+# exact types, so a JSON true/false is not an int; an int is a valid float.
+# Keyed by the annotation strings that ``from __future__ import annotations``
+# leaves in ``dataclasses.fields``.
+_JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}}
 
 
-def _checked(name: str, kind, value):
+def _checked(name: str, kind: str, value):
     """``value`` if its JSON type fits the field type ``kind``, else ConfigError."""
     if type(value) in _JSON_TYPES[kind]:
         return value
-    raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
+    raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def build_config(cls, overrides, section: str, **derived):
@@ -95,7 +93,7 @@ def build_config(cls, overrides, section: str, **derived):
     """
     if not isinstance(overrides, dict):
         raise ConfigError(f"{section} must be an object, got {overrides!r}")
-    hints = _type_hints(cls)
+    hints = {f.name: f.type for f in fields(cls)}
     unknown = sorted(set(overrides) - set(hints))
     if unknown:
         raise ConfigError("unknown config key(s): "
@@ -135,15 +133,13 @@ class TokenClassifier:
         c = config
         self.encoder = EncoderParams.init(
             rng.split(), c.vocab_size, c.d_emb, c.d, c.enc_layers,
-            c.enc_heads, c.max_len, c.dropout)
+            c.enc_heads, c.max_len)
         self.gat = None
         self.decoder = None
         if c.variant in ("gat", "full"):
-            self.gat = GatParams.init(rng.split(), c.d, c.gat_hidden,
-                                      c.gat_heads, dropout=c.dropout)
+            self.gat = GatParams.init(rng.split(), c.d, c.gat_hidden, c.gat_heads)
         if c.variant == "full":
-            self.decoder = DecoderParams.init(
-                rng.split(), c.d, c.dec_heads, c.dropout)
+            self.decoder = DecoderParams.init(rng.split(), c.d, c.dec_heads)
         self.head = Linear.init(rng.split(), c.d, c.n_labels)
         self.flat = FlatParams(self.parameters())
 
@@ -166,22 +162,27 @@ class TokenClassifier:
 
     def forward(self, batch: Batch, rng: RngState | None = None,
                 training: bool = False, collect: dict | None = None) -> Tensor:
-        """Logits (B, n_max, L) for the configured variant."""
-        H = encode(batch, self.encoder, rng, training)
+        """Logits (B, n_max, L) for the configured variant.
+
+        A training pass at a nonzero rate draws every dropout mask from
+        ``rng``, stage by stage; otherwise no stage drops anything.
+        """
+        p = self.config.dropout
+        drop = Dropout(p, rng) if training and p > 0.0 else None
+        H = encode(batch, self.encoder, drop)
         if self.config.variant == "encoder":
             return classify(H, self.head)
 
         mask = batch.attention_mask
         alphas = [] if collect is not None else None
-        H_g = gat_forward(H, mask, self.gat, rng, training, alphas)
+        H_g = gat_forward(H, mask, self.gat, drop, alphas)
         if collect is not None:
             collect["gat_alpha"] = edge_alpha(
                 alphas[0], batch.lengths, build_fully_connected(batch.lengths))
         if self.config.variant == "gat":
             return classify(H_g, self.head)
 
-        H_dec = decode_refine(H_g, mask, self.decoder,
-                              rng, training, collect)
+        H_dec = decode_refine(H_g, mask, self.decoder, drop, collect)
         return classify(H_dec, self.head)
 
     def loss(self, batch: Batch, rng: RngState | None = None,

@@ -18,28 +18,21 @@ import numpy as np
 
 from .errors import ContractError
 
-ALGORITHM = "philox4x64"
-
 
 class RngState:
-    """A named, splittable wrapper around a counter-based bit generator."""
+    """A named, splittable wrapper around a counter-based bit generator
+    (Philox4x64)."""
 
-    __slots__ = ("seed", "algorithm", "_seq", "_gen")
+    __slots__ = ("seed", "_seq", "_gen")
 
     def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
         self.seed = int(seed)
-        self.algorithm = ALGORITHM
         self._seq = np.random.SeedSequence(self.seed) if _seq is None else _seq
         self._gen = np.random.Generator(np.random.Philox(self._seq))
 
     def split(self) -> "RngState":
         """Derive an independent child stream (deterministic in call order)."""
-        child = RngState.__new__(RngState)
-        child.seed = self.seed
-        child.algorithm = self.algorithm
-        child._seq = self._seq.spawn(1)[0]
-        child._gen = np.random.Generator(np.random.Philox(child._seq))
-        return child
+        return RngState(self.seed, self._seq.spawn(1)[0])
 
     # -- sampling ---------------------------------------------------------
 
@@ -73,4 +66,4 @@ class RngState:
         return raw < (math.ceil(p * 2**53) << 11)
 
     def __repr__(self) -> str:
-        return f"RngState(seed={self.seed}, algorithm={self.algorithm!r})"
+        return f"RngState(seed={self.seed})"

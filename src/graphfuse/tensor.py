@@ -22,14 +22,6 @@ Design notes
 * Ops take only the arguments the model passes: a value that is the same
   at every call site is a constant here (``LAYER_NORM_EPS``,
   ``LEAKY_RELU_SLOPE``, ELU's alpha 1).
-* Stochastic ops take an explicit :class:`~graphfuse.rng.RngState`.
-  ``dropout_mask`` always draws: eval mode and p = 0 are the caller's
-  early return (``layers.dropout_keep``), and p is the validated
-  ``ModelConfig.dropout``, so it lies in [0, 1). It keeps an element where
-  ``RngState.bernoulli(p)`` is False. That primitive compares raw 64-bit
-  Philox words w with ``ceil(p·2⁵³)·2¹¹``: a uniform draw is
-  ``(w >> 11)·2⁻⁵³``, so the mask and the stream position are bitwise those
-  of ``uniform(0, 1) >= p``, at one comparison per element.
 * ``linear(x, w, b)`` is one node for ``x @ w + b``. Its weight gradient
   folds the leading axes of x into one product, so it differs from a
   separate matmul's batched product and sum by rounding only; the input and
@@ -79,7 +71,6 @@ from contextvars import ContextVar
 import numpy as np
 
 from .errors import ContractError, DegenerateBatchError, ShapeMismatchError
-from .rng import RngState
 
 MASK_NEG = -1e30  # additive key-padding bias; exp() underflows to exactly 0.0
 LAYER_NORM_EPS = 1e-5  # added to the variance in every layer_norm
@@ -446,15 +437,6 @@ def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
                 dwh)
 
     return _make(out, (s_dst, s_src, wh), bw)
-
-
-# -- stochastic ---------------------------------------------------------------
-
-def dropout_mask(shape, p: float, rng: RngState) -> np.ndarray:
-    """Inverted-dropout mask: Bernoulli(1−p)/(1−p), exact ones at p = 0."""
-    keep = ~rng.bernoulli(p, shape)
-    # one pass; keep is 0 or 1, so this is bitwise keep / (1 - p)
-    return np.multiply(keep, 1.0 / (1.0 - p))
 
 
 # -- gather / scatter ---------------------------------------------------------

@@ -227,7 +227,7 @@ class TestErrors:
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
-        np.savez(open(path, "wb"), foo=np.zeros(3))
+        np.savez(path, foo=np.zeros(3))
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
 
@@ -254,7 +254,7 @@ class TestErrors:
         meta = json.loads(str(blob["__meta__"]))
         meta["format_version"] = 99
         blob["__meta__"] = np.array(json.dumps(meta))
-        np.savez(open(path, "wb"), **blob)
+        np.savez(path, **blob)
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
 

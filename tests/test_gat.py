@@ -6,6 +6,7 @@ import pytest
 from graphfuse.errors import ContractError
 from graphfuse.gat import GatParams, edge_alpha, gat_forward
 from graphfuse.graph import build_fully_connected
+from graphfuse.layers import Dropout
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
@@ -13,8 +14,8 @@ from oracles import (attention_logits, dense_gat_reference, finite_difference,
                      gat_head, max_rel_err)
 
 
-def make_params(d=6, hidden=8, heads=2, seed=0, **kw):
-    return GatParams.init(RngState(seed), d, hidden, heads, **kw)
+def make_params(d=6, hidden=8, heads=2, seed=0):
+    return GatParams.init(RngState(seed), d, hidden, heads)
 
 
 def full_mask(B, n):
@@ -58,7 +59,7 @@ class TestGatForward:
         params = make_params(seed=4)
         collect = []
         out = gat_forward(Tensor(RngState(5).normal((1, 1, 6))), full_mask(1, 1),
-                          params, None, False, collect)
+                          params, None, collect)
         np.testing.assert_allclose(collect[0], np.ones((1, 2, 1, 1)))
         assert out.shape == (1, 1, 6)
 
@@ -67,17 +68,17 @@ class TestGatForward:
         n = 5
         H = Tensor(np.tile(RngState(7).normal((1, 1, 6)), (1, n, 1)))
         collect = []
-        gat_forward(H, full_mask(1, n), params, None, False, collect)
+        gat_forward(H, full_mask(1, n), params, None, collect)
         np.testing.assert_allclose(collect[0], np.full((1, 2, n, n), 1.0 / n),
                                    atol=1e-12)
 
     def test_alpha_sums_to_one_per_neighborhood(self):
-        params = make_params(seed=8, dropout=0.3)
+        params = make_params(seed=8)
         lengths = [4, 1, 6]
         mask = length_mask(lengths)
         H = Tensor(RngState(9).normal((3, 6, 6)) * 3)
         collect = []
-        gat_forward(H, mask, params, None, False, collect)  # eval mode
+        gat_forward(H, mask, params, None, collect)  # eval mode
         alpha = collect[0]
         for b, n in enumerate(lengths):
             np.testing.assert_allclose(alpha[b, :, :n].sum(-1), 1.0, atol=1e-9)
@@ -88,7 +89,7 @@ class TestGatForward:
         params = make_params(d=5, hidden=6, heads=2, seed=10)
         H = rng.normal((4, 5))
         collect = []
-        out = gat_forward(Tensor(H[None]), full_mask(1, 4), params, None, False,
+        out = gat_forward(Tensor(H[None]), full_mask(1, 4), params, None,
                           collect).data[0]
 
         W_heads = [params.W.data[i] for i in range(2)]
@@ -112,11 +113,11 @@ class TestGatForward:
         lengths = [5, 3]
         mask = length_mask(lengths)
         H = RngState(23).normal((2, 5, 6))  # pad rows hold junk on purpose
-        out = gat_forward(Tensor(H), mask, params, None, False).data
+        out = gat_forward(Tensor(H), mask, params, None).data
         assert np.all(out[~mask] == 0.0)
         for b, n in enumerate(lengths):
             alone = gat_forward(Tensor(H[b:b + 1, :n]), full_mask(1, n), params,
-                                None, False).data[0]
+                                None).data[0]
             np.testing.assert_allclose(out[b, :n], alone, rtol=1e-10, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -124,22 +125,22 @@ class TestGatForward:
         n = 6
         H = RngState(12).normal((1, n, 6))
         perm = RngState(13).permutation(n)
-        out = gat_forward(Tensor(H), full_mask(1, n), params, None, False).data
-        out_p = gat_forward(Tensor(H[:, perm]), full_mask(1, n), params, None,
-                            False).data
+        out = gat_forward(Tensor(H), full_mask(1, n), params, None).data
+        out_p = gat_forward(Tensor(H[:, perm]), full_mask(1, n), params,
+                            None).data
         np.testing.assert_allclose(out_p, out[:, perm], atol=1e-10)
 
     def test_output_shape_matches_input(self):
         params = make_params(seed=14)
         H = Tensor(RngState(15).normal((2, 3, 6)))
-        assert gat_forward(H, length_mask([3, 2]), params, None,
-                           False).shape == (2, 3, 6)
+        out = gat_forward(H, length_mask([3, 2]), params, None)
+        assert out.shape == (2, 3, 6)
 
     def test_node_count_mismatch(self):
         params = make_params(seed=16)
         with pytest.raises(ContractError):
             gat_forward(Tensor(np.zeros((1, 4, 6))), full_mask(1, 3), params,
-                        None, False)
+                        None)
 
     def test_gradients_match_finite_differences_five_nodes(self):
         params = make_params(d=4, hidden=4, heads=2, seed=17)
@@ -147,7 +148,7 @@ class TestGatForward:
         w = RngState(19).normal((1, 5, 4))
 
         def loss_tensor():
-            return (gat_forward(H, full_mask(1, 5), params, None, False) * w).sum()
+            return (gat_forward(H, full_mask(1, 5), params, None) * w).sum()
 
         loss_tensor().backward()
         names = {"H": H, **params.named("gat")}
@@ -157,8 +158,8 @@ class TestGatForward:
             assert max_rel_err(t.grad, want, floor=1e-7) < 1e-3, name
 
     def test_training_dropout_draws_are_seeded(self):
-        params = make_params(seed=20, dropout=0.4)
+        params = make_params(seed=20)
         H = Tensor(RngState(21).normal((1, 4, 6)))
-        a = gat_forward(H, full_mask(1, 4), params, RngState(5), True).data
-        b = gat_forward(H, full_mask(1, 4), params, RngState(5), True).data
-        assert a.tobytes() == b.tobytes()
+        a = gat_forward(H, full_mask(1, 4), params, Dropout(0.4, RngState(5)))
+        b = gat_forward(H, full_mask(1, 4), params, Dropout(0.4, RngState(5)))
+        assert a.data.tobytes() == b.data.tobytes()

@@ -203,6 +203,17 @@ def test_training_graph_keeps_four_attention_maps():
     assert maps.count(np.bool_) == 1  # the GAT's logit signs
 
 
+def test_dropout_rate_has_one_owner():
+    """Every stage reads the rate from the model's config: at 0 a training
+    pass draws nothing and equals the eval pass bitwise."""
+    model, batches = build_world("full", seed=6, enc_layers=1)
+    batch = batches[0]
+    eval_loss = model.loss(batch, training=False).item()
+    assert model.loss(batch, RngState(4), training=True).item() != eval_loss
+    model.config.dropout = 0.0
+    assert model.loss(batch, RngState(4), training=True).item() == eval_loss
+
+
 def test_every_tensor_op_is_reached():
     """The autodiff core holds only ops that training or prediction uses."""
     public = {name: inspect.unwrap(f).__code__ for name, f in vars(T).items()

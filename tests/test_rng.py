@@ -48,3 +48,14 @@ def test_bernoulli_rejects_a_probability_outside_the_unit_interval():
     for p in (-0.1, 1.5, float("nan")):
         with pytest.raises(ContractError):
             RngState(0).bernoulli(p, (3,))
+
+
+def test_split_children_are_the_seed_sequence_spawns():
+    """The k-th ``split`` draws the stream of the k-th spawned SeedSequence."""
+    rng = RngState(3)
+    spawned = np.random.SeedSequence(3).spawn(2)
+    for seq in spawned:
+        want = np.random.Generator(np.random.Philox(seq)).uniform(0.0, 1.0, (5,))
+        child = rng.split()
+        assert child.seed == 3
+        assert child.uniform(0.0, 1.0, (5,)).tobytes() == want.tobytes()

@@ -8,7 +8,7 @@ import pytest
 from graphfuse import tensor as T
 from graphfuse.errors import (ContractError, DegenerateBatchError,
                               ShapeMismatchError)
-from graphfuse.layers import apply_dropout
+from graphfuse.layers import Dropout, apply_dropout
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
@@ -107,7 +107,7 @@ def all_keys(shape):
 PAD_MASK = np.array([[True, True, True, False, False],
                      [True, False, False, False, False]])
 # an inverted-dropout mask over the (B, h, n, n) = (2, 3, 5, 5) GAT map
-KEEP = T.dropout_mask((2, 3, 5, 5), 0.3, RngState(21))
+KEEP = Dropout(0.3, RngState(21)).keep((2, 3, 5, 5))
 FUSED_OPS = ["attention", "graph_attention", "graph_attention_keep"]
 
 
@@ -379,29 +379,29 @@ class TestLayerNorm:
 
 class TestDropoutMask:
     def test_p_zero_is_ones(self):
-        m = T.dropout_mask((5, 5), 0.0, RngState(0))
+        m = Dropout(0.0, RngState(0)).keep((5, 5))
         np.testing.assert_array_equal(m, np.ones((5, 5)))
 
     def test_eval_mode_is_ones(self):
-        # eval mode skips the mask: apply_dropout hands back its input
+        # eval mode passes no Dropout: apply_dropout hands back its input
         x = Tensor(np.ones((5, 5)))
-        assert apply_dropout(x, 0.9, RngState(0), training=False) is x
+        assert apply_dropout(x, None) is x
 
     def test_keep_rate(self):
-        m = T.dropout_mask((100_000,), 0.3, RngState(7))
+        m = Dropout(0.3, RngState(7)).keep((100_000,))
         keep = float((m > 0).mean())
         assert abs(keep - 0.7) < 0.01
         # inverted scaling: surviving entries are 1/(1-p)
         np.testing.assert_allclose(np.unique(m), [0.0, 1.0 / 0.7])
 
     def test_mask_is_scaled_keep_indicator(self):
-        m = T.dropout_mask((64,), 0.3, RngState(11))
+        m = Dropout(0.3, RngState(11)).keep((64,))
         keep = RngState(11).uniform(0.0, 1.0, (64,)) >= 0.3
         assert m.tobytes() == (keep.astype(np.float64) / 0.7).tobytes()
 
     def test_deterministic_given_seed(self):
-        a = T.dropout_mask((64,), 0.5, RngState(11))
-        b = T.dropout_mask((64,), 0.5, RngState(11))
+        a = Dropout(0.5, RngState(11)).keep((64,))
+        b = Dropout(0.5, RngState(11)).keep((64,))
         assert a.tobytes() == b.tobytes()
 
 
