@@ -1,9 +1,10 @@
-"""Versioned checkpoint container, format version 2.
+"""Versioned checkpoint container, format version 3.
 
 One ``.npz`` file holds exactly two entries: ``params``, the model's flat
 float64 parameter buffer (a bit-exact round trip), and ``__meta__``, JSON with
 the model config, both vocabularies and ``layout``, the buffer's ``[name,
-shape]`` list. Loading checks that layout against the rebuilt model's.
+shape]`` list, each name a field path. Loading checks that layout against
+the rebuilt model's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import ConfigError
 from .model import ModelConfig, TokenClassifier, build_config
 from .rng import RngState
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _META_KEY = "__meta__"
 _PARAMS_KEY = "params"
 _META_FIELDS = {"format_version", "config", "token_vocab", "label_vocab",

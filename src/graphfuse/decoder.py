@@ -36,14 +36,6 @@ class DecoderParams:
             FeedForward.init(rng, d, 4 * d),
             LayerNorm.init(d), LayerNorm.init(d), LayerNorm.init(d))
 
-    def named(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        return {**self.self_attn.named(f"{prefix}.self"),
-                **self.cross_attn.named(f"{prefix}.cross"),
-                **self.ff.named(f"{prefix}.ff"),
-                **self.norm1.named(f"{prefix}.norm1"),
-                **self.norm2.named(f"{prefix}.norm2"),
-                **self.norm3.named(f"{prefix}.norm3")}
-
 
 def decode_refine(H_gat: Tensor, pad_mask: np.ndarray, params: DecoderParams,
                   drop: Dropout | None, collect: dict | None = None) -> Tensor:

@@ -45,12 +45,6 @@ class EncoderBlock:
                             FeedForward.init(rng, d_emb, 4 * d_emb),
                             LayerNorm.init(d_emb), LayerNorm.init(d_emb))
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.attn.named(f"{prefix}.attn"),
-                **self.ff.named(f"{prefix}.ff"),
-                **self.norm1.named(f"{prefix}.norm1"),
-                **self.norm2.named(f"{prefix}.norm2")}
-
 
 @dataclass
 class EncoderParams:
@@ -67,13 +61,6 @@ class EncoderParams:
         proj = Linear.init(rng, d_emb, d)
         return EncoderParams(emb, positional_encoding(max_len, d_emb),
                              blocks, proj)
-
-    def named(self, prefix: str = "encoder") -> dict[str, Tensor]:
-        out = {f"{prefix}.embedding": self.embedding}
-        for i, block in enumerate(self.blocks):
-            out.update(block.named(f"{prefix}.block{i}"))
-        out.update(self.projection.named(f"{prefix}.proj"))
-        return out
 
 
 def encode(batch: Batch, params: EncoderParams, drop: Dropout | None) -> Tensor:

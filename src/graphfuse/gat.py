@@ -55,11 +55,6 @@ class GatParams:
             proj=Linear.init(rng, hidden, d),
         )
 
-    def named(self, prefix: str = "gat") -> dict[str, Tensor]:
-        return {f"{prefix}.W": self.W, f"{prefix}.a_dst": self.a_dst,
-                f"{prefix}.a_src": self.a_src,
-                **self.proj.named(f"{prefix}.proj")}
-
 
 def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
                 drop: Dropout | None, collect: list | None = None) -> Tensor:

@@ -1,10 +1,12 @@
 """Shared parameterized building blocks: linear, layer norm, multi-head attention.
 
-Parameter containers are plain dataclasses of Tensors with a ``named``
-method so the model can assemble its flat name -> Tensor dictionary for the
-optimizer and the checkpoint. Naming matters: ``decayed`` exempts names
-ending in ``.b`` or containing ``.norm`` from AdamW's weight decay, and
-``FlatParams`` lays the decayed names out first.
+Parameter containers are plain dataclasses of Tensors. The fields are the
+parameter tree: ``named_parameters`` walks them and names each Tensor by its
+field path (``decoder.self_attn.q.w``), the names the checkpoint's layout
+stores. A parameter's rank decides its weight decay: ``FlatParams`` lays the
+matrices (weights, the embedding, the GAT's per-head arrays) out first, and
+AdamW decays only those, not the vectors (biases, layer-norm gains and
+biases).
 
 Builders take values that ``ModelConfig.validate`` has already checked
 (widths divisible by their head counts, among others) and do not check
@@ -29,7 +31,7 @@ bitwise those of ``uniform(0, 1) >= p``, at one comparison per element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -38,24 +40,37 @@ from .rng import RngState
 from .tensor import Tensor
 
 
-def decayed(name: str) -> bool:
-    """Whether AdamW decays ``name``: not biases (``.b``) nor layer-norm
-    gains and biases (``...normK.*``)."""
-    return not (name.endswith(".b") or ".norm" in name)
+def named_parameters(tree, prefix: str) -> dict[str, Tensor]:
+    """Every Tensor under ``tree`` by dotted path from ``prefix``: dataclass
+    fields in declaration order, list items by index. Other leaves (None, an
+    int such as ``n_heads``, a fixed array) hold no parameter."""
+    if isinstance(tree, Tensor):
+        return {prefix: tree}
+    if isinstance(tree, list):
+        children = enumerate(tree)
+    elif is_dataclass(tree):
+        children = ((f.name, getattr(tree, f.name)) for f in fields(tree))
+    else:
+        return {}
+    out: dict[str, Tensor] = {}
+    for key, child in children:
+        out.update(named_parameters(child, f"{prefix}.{key}"))
+    return out
 
 
 class FlatParams:
     """Each parameter's ``.data`` becomes a view into ``data`` and its
-    ``.grad`` a view into ``grad`` (zeros). Decayed names come first, so the
-    decayed weights are ``data[:n_decayed]``; nothing rebinds the views.
+    ``.grad`` a view into ``grad`` (zeros). Matrices come first, so the
+    weights AdamW decays are ``data[:n_decayed]``; nothing rebinds the views.
     ``layout`` is the JSON-exact ``[name, shape]`` list in buffer order."""
 
     def __init__(self, named: dict[str, Tensor]):
-        order = sorted(named.items(), key=lambda item: not decayed(item[0]))
+        # a stable sort: names keep their tree order within each group
+        order = sorted(named.items(), key=lambda item: item[1].data.ndim < 2)
         self.layout = [[name, list(p.data.shape)] for name, p in order]
         self.data = np.concatenate([p.data.reshape(-1) for _, p in order])
         self.grad = np.zeros_like(self.data)
-        self.n_decayed = sum(p.data.size for name, p in order if decayed(name))
+        self.n_decayed = sum(p.data.size for _, p in order if p.data.ndim >= 2)
         offset = 0
         for _, p in order:
             end = offset + p.data.size
@@ -83,9 +98,6 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
-
 
 @dataclass
 class LayerNorm:
@@ -99,10 +111,6 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gain, self.bias)
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        # 'norm' in the prefix keeps both out of weight decay
-        return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
 @dataclass
@@ -120,12 +128,6 @@ class Attention:
         return Attention(Linear.init(rng, d, d), Linear.init(rng, d, d),
                          Linear.init(rng, d, d), Linear.init(rng, d, d),
                          n_heads)
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for tag, lin in (("q", self.q), ("k", self.k), ("v", self.v), ("o", self.o)):
-            out.update(lin.named(f"{prefix}.{tag}"))
-        return out
 
 
 def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
@@ -170,10 +172,6 @@ class FeedForward:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.outer(T.relu(self.inner(x)))
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {**self.inner.named(f"{prefix}.inner"),
-                **self.outer.named(f"{prefix}.outer")}
 
 
 @dataclass(frozen=True)

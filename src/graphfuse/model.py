@@ -16,10 +16,10 @@ from . import tensor as T
 from .data import Batch, LabelVocab, TokenVocab
 from .decoder import DecoderParams, decode_refine
 from .encoder import EncoderParams, encode
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .gat import GatParams, edge_alpha, gat_forward
 from .graph import build_fully_connected
-from .layers import Dropout, FlatParams, Linear
+from .layers import Dropout, FlatParams, Linear, named_parameters
 from .rng import RngState
 from .tensor import Tensor, masked_cross_entropy
 
@@ -146,13 +146,11 @@ class TokenClassifier:
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
-        """Flat name -> Tensor map in stable construction order."""
-        out = self.encoder.named("encoder")
-        if self.gat is not None:
-            out.update(self.gat.named("gat"))
-        if self.decoder is not None:
-            out.update(self.decoder.named("decoder"))
-        out.update(self.head.named("head.out"))
+        """Field path -> Tensor for every stage, in construction order; an
+        absent stage is None and adds nothing."""
+        out: dict[str, Tensor] = {}
+        for stage in ("encoder", "gat", "decoder", "head"):
+            out.update(named_parameters(getattr(self, stage), stage))
         return out
 
     def zero_grad(self) -> None:
@@ -165,10 +163,14 @@ class TokenClassifier:
         """Logits (B, n_max, L) for the configured variant.
 
         A training pass at a nonzero rate draws every dropout mask from
-        ``rng``, stage by stage; otherwise no stage drops anything.
+        ``rng``, stage by stage, and raises ContractError without one;
+        otherwise no stage drops anything.
         """
         p = self.config.dropout
         drop = Dropout(p, rng) if training and p > 0.0 else None
+        if drop is not None and rng is None:
+            raise ContractError(f"a training pass at dropout {p} needs an rng "
+                                f"to draw its masks from")
         H = encode(batch, self.encoder, drop)
         if self.config.variant == "encoder":
             return classify(H, self.head)

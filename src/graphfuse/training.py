@@ -2,9 +2,10 @@
 on validation micro-F1, deterministic given the seed.
 
 The model keeps its parameters in one flat buffer and their gradients in a
-second (``layers.FlatParams``, decayed names first). AdamW keeps its first
-and second moments in two more buffers of that layout, so a step is a few
-vector operations over all parameters. It is bitwise equal to a
+second (``layers.FlatParams``). The matrices come first and are the only
+values weight decay touches; vectors (biases, layer-norm gains and biases)
+are exempt. AdamW keeps its first and second moments in two more buffers of
+that layout, so a step is a few vector operations over all parameters. It is bitwise equal to a
 per-parameter loop because every element sees the same operations in the
 same order. The best-epoch snapshot is one copy of the parameter buffer.
 """

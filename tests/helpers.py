@@ -1,5 +1,8 @@
 """Small builders shared by the test modules."""
 
+import json
+import re
+
 import numpy as np
 
 from graphfuse.data import Batch
@@ -40,3 +43,29 @@ def assert_views_of_flat(model):
         assert start == offset * flat.data.itemsize, name
         offset += p.data.size
     assert offset == flat.data.size == flat.grad.size
+
+
+def _version_2_name(name):
+    """A parameter's name in a format version 2 checkpoint, which spelled
+    some field paths by hand (``encoder.blocks.0`` was ``encoder.block0``)."""
+    name = re.sub(r"^encoder\.blocks\.(\d+)\.", r"encoder.block\1.", name)
+    for path, old in (("encoder.projection.", "encoder.proj."),
+                      ("decoder.self_attn.", "decoder.self."),
+                      ("decoder.cross_attn.", "decoder.cross."),
+                      ("head.", "head.out.")):
+        if name.startswith(path):
+            return old + name[len(path):]
+    return name
+
+
+def write_version_2(src, dst):
+    """Rewrite the checkpoint at ``src`` to ``dst`` as format version 2
+    stored it: the same buffer, its layout under the version 2 names."""
+    with np.load(src, allow_pickle=False) as blob:
+        entries = dict(blob)
+    meta = json.loads(str(entries["__meta__"]))
+    meta["format_version"] = 2
+    meta["layout"] = [[_version_2_name(name), shape]
+                      for name, shape in meta["layout"]]
+    entries["__meta__"] = np.array(json.dumps(meta))
+    np.savez(dst, **entries)

@@ -16,7 +16,7 @@ from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
 from graphfuse.synth import copy_spec, generate
 
-from helpers import assert_views_of_flat
+from helpers import assert_views_of_flat, write_version_2
 
 
 @pytest.fixture()
@@ -65,7 +65,7 @@ class TestRoundTrip:
             assert sorted(blob.files) == ["__meta__", "params"]
             meta = json.loads(str(blob["__meta__"]))
             assert blob["params"].tobytes() == model.flat.data.tobytes()
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
         assert meta["layout"] == model.flat.layout
 
     def test_vocabs_restored(self, setup, tmp_path):
@@ -231,19 +231,29 @@ class TestErrors:
         with pytest.raises(ConfigError):
             load_checkpoint(str(path))
 
-    def test_version_1_archive(self, setup, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_version_archive(self, setup, tmp_path, version):
         """A version 1 file stored one ``param::<name>`` entry per parameter
-        and no layout; it is refused by its version, with a hint to retrain."""
+        and no layout; a version 2 file stored the flat buffer under
+        hand-written names. Each is refused by its version, with a hint to
+        retrain."""
         model, _ = setup
-        meta = {"format_version": 1, "config": asdict(model.config),
-                "token_vocab": model.token_vocab.token_to_id,
-                "label_vocab": model.label_vocab.label_to_id}
         path = tmp_path / "ckpt.npz"
-        with open(path, "wb") as fh:
-            np.savez(fh, __meta__=np.array(json.dumps(meta)),
-                     **{f"param::{name}": p.data
-                        for name, p in model.parameters().items()})
-        with pytest.raises(ConfigError, match="version 1.*retrain"):
+        if version == 1:
+            meta = {"format_version": 1, "config": asdict(model.config),
+                    "token_vocab": model.token_vocab.token_to_id,
+                    "label_vocab": model.label_vocab.label_to_id}
+            with open(path, "wb") as fh:
+                np.savez(fh, __meta__=np.array(json.dumps(meta)),
+                         **{f"param::{name}": p.data
+                            for name, p in model.parameters().items()})
+        else:
+            save_checkpoint(str(path), model)
+            write_version_2(path, path)
+            with np.load(path, allow_pickle=False) as blob:
+                layout = json.loads(str(blob["__meta__"]))["layout"]
+            assert {"head.out.w", "decoder.self.q.w"} <= {n for n, _ in layout}
+        with pytest.raises(ConfigError, match=f"version {version}.*retrain"):
             load_checkpoint(str(path))
 
     def test_wrong_version(self, setup, tmp_path):

@@ -15,6 +15,8 @@ from graphfuse.model import build_config
 from graphfuse.rng import RngState
 from graphfuse.training import TrainConfig
 
+from helpers import write_version_2
+
 
 def run_cli(argv):
     return main(argv)
@@ -493,6 +495,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert "params" in err and "float64" in err
+        assert "Traceback" not in err
+
+    def test_version_2_checkpoint_exit_2(self, workdir, tmp_path, capsys):
+        old = tmp_path / "v2.npz"
+        write_version_2(workdir / "run" / "checkpoint.npz", old)
+        code = run_cli(["predict", "--checkpoint", str(old), "--input",
+                        str(workdir / "data" / "test.conll"),
+                        "--output", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unsupported checkpoint version 2" in err and "retrain" in err
         assert "Traceback" not in err
 
     def test_non_utf8_line_past_first_read_chunk(self, tmp_path):

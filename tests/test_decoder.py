@@ -3,6 +3,7 @@
 import numpy as np
 
 from graphfuse.decoder import DecoderParams, decode_refine
+from graphfuse.layers import named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
@@ -89,7 +90,7 @@ class TestDecodeRefine:
             return (decode_refine(x, mask, params, None) * w).sum()
 
         loss_tensor().backward()
-        names = {"x": x, **params.named("decoder")}
+        names = {"x": x, **named_parameters(params, "decoder")}
         fd = finite_difference(lambda: loss_tensor().item(),
                                [t.data for t in names.values()], step=1e-4)
         for (name, t), want in zip(names.items(), fd):

@@ -6,7 +6,7 @@ import pytest
 from graphfuse import tensor as T
 from graphfuse.encoder import EncoderParams, encode, positional_encoding
 from graphfuse.errors import ContractError
-from graphfuse.layers import Dropout
+from graphfuse.layers import Dropout, named_parameters
 from graphfuse.rng import RngState
 
 from helpers import toy_batch
@@ -96,7 +96,7 @@ class TestEncode:
             return (encode(batch, params, None) * w).sum()
 
         loss_tensor().backward()
-        names = params.named("encoder")
+        names = named_parameters(params, "encoder")
         arrays = [t.data for t in names.values()]
         fd = finite_difference(lambda: loss_tensor().item(), arrays, step=1e-5)
         for (name, t), want in zip(names.items(), fd):

@@ -6,7 +6,7 @@ import pytest
 from graphfuse.errors import ContractError
 from graphfuse.gat import GatParams, edge_alpha, gat_forward
 from graphfuse.graph import build_fully_connected
-from graphfuse.layers import Dropout
+from graphfuse.layers import Dropout, named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
@@ -151,7 +151,7 @@ class TestGatForward:
             return (gat_forward(H, full_mask(1, 5), params, None) * w).sum()
 
         loss_tensor().backward()
-        names = {"H": H, **params.named("gat")}
+        names = {"H": H, **named_parameters(params, "gat")}
         fd = finite_difference(lambda: loss_tensor().item(),
                                [t.data for t in names.values()], step=1e-5)
         for (name, t), want in zip(names.items(), fd):

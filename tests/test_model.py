@@ -4,18 +4,21 @@ import inspect
 import json
 import pathlib
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from graphfuse import layers
 from graphfuse import tensor as T
 from graphfuse.data import LabelVocab, Sentence, TokenVocab, make_batches
-from graphfuse.errors import ConfigError
+from graphfuse.errors import ConfigError, ContractError
+from graphfuse.layers import named_parameters
 from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
+from graphfuse.tensor import Tensor
 
 from helpers import assert_views_of_flat
+from oracles import adamw_step_reference
 
 
 def build_world(variant="full", n_sents=4, seed=0, **cfg_kw):
@@ -36,6 +39,88 @@ def build_world(variant="full", n_sents=4, seed=0, **cfg_kw):
     model = TokenClassifier(cfg, tv, lv, RngState(seed + 100))
     batches = make_batches(corpus, 2, 16, tv, lv)
     return model, batches
+
+
+FULL_ONE_BLOCK_LAYOUT = [
+    ["encoder.embedding", [8, 8]],
+    ["encoder.blocks.0.attn.q.w", [8, 8]],
+    ["encoder.blocks.0.attn.k.w", [8, 8]],
+    ["encoder.blocks.0.attn.v.w", [8, 8]],
+    ["encoder.blocks.0.attn.o.w", [8, 8]],
+    ["encoder.blocks.0.ff.inner.w", [8, 32]],
+    ["encoder.blocks.0.ff.outer.w", [32, 8]],
+    ["encoder.projection.w", [8, 8]],
+    ["gat.W", [2, 8, 4]],
+    ["gat.a_dst", [2, 4]],
+    ["gat.a_src", [2, 4]],
+    ["gat.proj.w", [8, 8]],
+    ["decoder.self_attn.q.w", [8, 8]],
+    ["decoder.self_attn.k.w", [8, 8]],
+    ["decoder.self_attn.v.w", [8, 8]],
+    ["decoder.self_attn.o.w", [8, 8]],
+    ["decoder.cross_attn.q.w", [8, 8]],
+    ["decoder.cross_attn.k.w", [8, 8]],
+    ["decoder.cross_attn.v.w", [8, 8]],
+    ["decoder.cross_attn.o.w", [8, 8]],
+    ["decoder.ff.inner.w", [8, 32]],
+    ["decoder.ff.outer.w", [32, 8]],
+    ["head.w", [8, 3]],
+    ["encoder.blocks.0.attn.q.b", [8]],
+    ["encoder.blocks.0.attn.k.b", [8]],
+    ["encoder.blocks.0.attn.v.b", [8]],
+    ["encoder.blocks.0.attn.o.b", [8]],
+    ["encoder.blocks.0.ff.inner.b", [32]],
+    ["encoder.blocks.0.ff.outer.b", [8]],
+    ["encoder.blocks.0.norm1.gain", [8]],
+    ["encoder.blocks.0.norm1.bias", [8]],
+    ["encoder.blocks.0.norm2.gain", [8]],
+    ["encoder.blocks.0.norm2.bias", [8]],
+    ["encoder.projection.b", [8]],
+    ["gat.proj.b", [8]],
+    ["decoder.self_attn.q.b", [8]],
+    ["decoder.self_attn.k.b", [8]],
+    ["decoder.self_attn.v.b", [8]],
+    ["decoder.self_attn.o.b", [8]],
+    ["decoder.cross_attn.q.b", [8]],
+    ["decoder.cross_attn.k.b", [8]],
+    ["decoder.cross_attn.v.b", [8]],
+    ["decoder.cross_attn.o.b", [8]],
+    ["decoder.ff.inner.b", [32]],
+    ["decoder.ff.outer.b", [8]],
+    ["decoder.norm1.gain", [8]],
+    ["decoder.norm1.bias", [8]],
+    ["decoder.norm2.gain", [8]],
+    ["decoder.norm2.bias", [8]],
+    ["decoder.norm3.gain", [8]],
+    ["decoder.norm3.bias", [8]],
+    ["head.b", [3]],
+]
+
+
+@dataclass
+class _Leaf:
+    w: Tensor
+    n_heads: int
+
+
+@dataclass
+class _Tree:
+    first: _Leaf
+    table: np.ndarray
+    items: list
+    absent: object
+    last: Tensor
+
+
+class TestNamedParameters:
+    def test_fields_in_order_list_items_by_index_other_leaves_skipped(self):
+        a, b, c, d = (Tensor(np.zeros(k)) for k in (1, 2, 3, 4))
+        tree = _Tree(first=_Leaf(a, 4), table=np.ones((2, 2)),
+                     items=[_Leaf(b, 2), c], absent=None, last=d)
+        named = named_parameters(tree, "root")
+        assert list(named) == ["root.first.w", "root.items.0.w",
+                               "root.items.1", "root.last"]
+        assert all(x is y for x, y in zip(named.values(), (a, b, c, d)))
 
 
 class TestVariants:
@@ -117,9 +202,9 @@ class TestForwardBackward:
         model, batches = build_world(variant, seed=5)
         assert_views_of_flat(model)
         assert not np.any(model.flat.grad)
-        # decayed names first: the flat prefix is exactly the decayed weights
+        # matrices first: the flat prefix is exactly the decayed weights
         params = model.parameters()
-        decayed = [p for name, p in params.items() if layers.decayed(name)]
+        decayed = [p for p in params.values() if p.data.ndim >= 2]
         assert model.flat.n_decayed == sum(p.data.size for p in decayed)
         prefix = model.flat.data[:model.flat.n_decayed]
         assert all(np.shares_memory(p.data, prefix) for p in decayed)
@@ -134,9 +219,37 @@ class TestForwardBackward:
         assert len(layout) == len(params)
         assert {name: shape for name, shape in layout} == {
             name: list(p.data.shape) for name, p in params.items()}
-        decay = [layers.decayed(name) for name, _ in layout]
+        decay = [len(shape) >= 2 for _, shape in layout]
         assert decay == sorted(decay, reverse=True)
         assert json.loads(json.dumps(layout)) == layout
+
+    def test_layout_of_full_with_one_encoder_block(self):
+        """The layout is the checkpoint's contract: renaming a field or
+        moving a parameter must fail here (and bump the format version)."""
+        model, _ = build_world("full", enc_layers=1)
+        assert model.flat.layout == FULL_ONE_BLOCK_LAYOUT
+
+    @pytest.mark.parametrize("enc_layers", [0, 1, 2])
+    @pytest.mark.parametrize("variant", ["encoder", "gat", "full"])
+    def test_rank_rule_decays_what_the_name_rule_decays(self, variant,
+                                                        enc_layers):
+        """The reference AdamW decays by name (not ``.b``, not ``.norm``).
+        With zero gradients only weight decay moves a parameter, so the
+        reference moves exactly the first ``n_decayed`` values."""
+        model, _ = build_world(variant, enc_layers=enc_layers)
+        ones = {name: np.ones(shape) for name, shape in model.flat.layout}
+        zeros = {name: np.zeros(shape) for name, shape in model.flat.layout}
+        adamw_step_reference(ones, zeros, {}, 0.5, (0.9, 0.999), 1e-8, 0.5)
+        moved = np.concatenate([(a != 1.0).reshape(-1) for a in ones.values()])
+        n = model.flat.n_decayed
+        assert moved[:n].all() and not moved[n:].any()
+
+    def test_training_pass_without_rng_raises(self):
+        # loss() defaults to a training pass; at dropout 0.1 it needs an rng
+        model, batches = build_world("full")
+        with pytest.raises(ContractError, match="rng"):
+            model.loss(batches[0])
+        model.loss(batches[0], training=False)
 
     def test_no_source_line_rebinds_a_parameter(self):
         """The only ``.data =`` bindings are the Tensor constructor's, the

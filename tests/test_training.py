@@ -113,11 +113,11 @@ class TestAdamW:
         update = 1/(1+1e-8) + 0.01*1
         theta1 = 1 - 0.1*update
         """
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        flat, state = laid_out({"w": p}, {"w": np.array([1.0])})
+        p = Tensor(np.array([[1.0]]), requires_grad=True)  # a matrix decays
+        flat, state = laid_out({"w": p}, {"w": np.array([[1.0]])})
         adamw_step(flat, state, 0.1, opt_config(weight_decay=0.01))
         expect = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.01)
-        assert p.data[0] == pytest.approx(expect, abs=1e-15)
+        assert p.data[0, 0] == pytest.approx(expect, abs=1e-15)
         assert state.step == 1
         assert state.m[0] == pytest.approx(0.1)
         assert state.v[0] == pytest.approx(0.001)
@@ -138,24 +138,24 @@ class TestAdamW:
             theta -= 0.05 * (mh / (np.sqrt(vh) + 1e-8))
             assert p.data[0] == pytest.approx(theta, abs=1e-14)
 
-    def test_decay_exemption_by_name(self):
-        w = Tensor(np.array([1.0]), requires_grad=True)
+    def test_decay_exemption_by_rank(self):
+        w = Tensor(np.array([[1.0]]), requires_grad=True)
         b = Tensor(np.array([1.0]), requires_grad=True)
         gain = Tensor(np.array([1.0]), requires_grad=True)
         flat, state = laid_out({"lin.w": w, "lin.b": b, "blk.norm1.gain": gain})
         assert flat.n_decayed == 1
         adamw_step(flat, state, 0.1, opt_config(weight_decay=0.5))
         # zero gradient => only decay moves parameters
-        assert w.data[0] == pytest.approx(1.0 - 0.1 * 0.5 * 1.0)
+        assert w.data[0, 0] == pytest.approx(1.0 - 0.1 * 0.5 * 1.0)
         assert b.data[0] == 1.0
         assert gain.data[0] == 1.0
 
     def test_decay_uses_pre_step_theta(self):
-        p = Tensor(np.array([2.0]), requires_grad=True)
-        flat, state = laid_out({"w": p}, {"w": np.array([1.0])})
+        p = Tensor(np.array([[2.0]]), requires_grad=True)
+        flat, state = laid_out({"w": p}, {"w": np.array([[1.0]])})
         adamw_step(flat, state, 0.1, opt_config(weight_decay=0.1))
         expect = 2.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.1 * 2.0)
-        assert p.data[0] == pytest.approx(expect, abs=1e-14)
+        assert p.data[0, 0] == pytest.approx(expect, abs=1e-14)
 
     def test_other_parameters_than_laid_out_raise(self):
         flat, state = laid_out({"w": Tensor(np.zeros(2))}, {"w": np.ones(2)})
