@@ -26,7 +26,7 @@ from .data import (
 )
 from .errors import (ConfigError, GraphFuseError, ParseError,
                      TrainingDivergedError, VocabMismatchError)
-from .evaluation import evaluate, predict_corpus, truncation
+from .evaluation import evaluate, predict_corpus, thread_count, truncation
 from .model import VARIANTS, ModelConfig, TokenClassifier, build_config
 from .presets import get_preset
 from .rng import RngState
@@ -329,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command != "generate":  # the others evaluate a model
+            thread_count()  # so a bad GRAPHFUSE_THREADS fails before any work
         return args.func(args)
     except TrainingDivergedError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -38,19 +38,15 @@ class DecoderParams:
 
 
 def decode_refine(H_gat: Tensor, pad_mask: np.ndarray, params: DecoderParams,
-                  drop: Dropout | None, collect: dict | None = None) -> Tensor:
+                  drop: Dropout | None) -> Tensor:
     """Refine (B, n, d) -> (B, n, d). ``pad_mask`` is True at real tokens.
 
     Cross-attention keys and values are the layer input ``H_gat`` (the
     graph-stage output); its queries are the self-attention result.
     """
-    coll_self = collect.setdefault("dec_self", []) if collect is not None else None
-    sa = multi_head_attention(params.self_attn, H_gat, H_gat, H_gat,
-                              key_mask=pad_mask, collect=coll_self)
+    sa = multi_head_attention(params.self_attn, H_gat, H_gat, H_gat, pad_mask)
     x = params.norm1(H_gat + apply_dropout(sa, drop))
-    coll_cross = collect.setdefault("dec_cross", []) if collect is not None else None
-    ca = multi_head_attention(params.cross_attn, x, H_gat, H_gat,
-                              key_mask=pad_mask, collect=coll_cross)
+    ca = multi_head_attention(params.cross_attn, x, H_gat, H_gat, pad_mask)
     x = params.norm2(x + apply_dropout(ca, drop))
     ff = params.ff(x)
     return params.norm3(x + apply_dropout(ff, drop))

@@ -33,7 +33,7 @@ from .metrics import EvalReport, score
 from .model import TokenClassifier
 
 
-def _thread_count() -> int:
+def thread_count() -> int:
     raw = os.environ.get("GRAPHFUSE_THREADS", "1")
     try:
         threads = int(raw)
@@ -65,7 +65,7 @@ def predict_corpus(model: TokenClassifier, corpus: Corpus, batch_size: int,
     batches = make_batches([corpus[i] for i in order], batch_size, max_len,
                            model.token_vocab, model.label_vocab, rng=None,
                            encode_labels=False)
-    n = _thread_count()
+    n = thread_count()
     if n == 1 or len(batches) <= 1:
         id_rows = [model.predict_batch(b) for b in batches]
     else:

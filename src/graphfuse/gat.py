@@ -57,14 +57,12 @@ class GatParams:
 
 
 def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
-                drop: Dropout | None, collect: list | None = None) -> Tensor:
+                drop: Dropout | None) -> Tensor:
     """Graph-attention layer: padded (B, n, d) -> (B, n, d).
 
     ``mask`` is the (B, n) boolean attention mask (True = real token). Pad
     keys get exactly zero weight and pad rows of the output are exactly
-    zero. When ``collect`` is given the (B, heads, n, n) attention array,
-    before dropout, is appended to it; pad query rows of it are meaningless.
-    ``drop`` (None in eval mode) gives the (B, heads, n, n) mask on the
+    zero. ``drop`` (None in eval mode) gives the (B, heads, n, n) mask on the
     attention weights, drawn before ``T.graph_attention`` runs and before
     the head outputs' mask, the composed layer's order of draws.
     """
@@ -79,7 +77,7 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
     s_src = T.sum_(Wh * params.a_src.reshape(1, h, 1, -1), axis=-1)
 
     keep = None if drop is None else drop.keep((B, h, n, n))
-    mixed = T.graph_attention(s_dst, s_src, Wh, mask, keep, collect)
+    mixed = T.graph_attention(s_dst, s_src, Wh, mask, keep)
     mixed = T.transpose(mixed, (0, 2, 1, 3))                         # (B, n, h, dh)
     feats = T.elu(mixed).reshape(B, n, h * params.d_head)
     feats = apply_dropout(feats, drop)

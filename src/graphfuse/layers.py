@@ -131,16 +131,13 @@ class Attention:
 
 
 def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
-                         value: Tensor, key_mask: np.ndarray,
-                         collect: list | None = None) -> Tensor:
+                         value: Tensor, key_mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention with key-side padding masking.
 
     ``key_mask`` is the (B, n_k) boolean attention mask (True = real token).
     Masked keys receive exactly zero weight, so every row still sums to 1
     over the unmasked keys. q is scaled by 1/√dh before ``T.attention``,
     which keeps the (B, H, n_q, n_k) weights as its only map-sized buffer.
-    When ``collect`` is given those weights are appended to it (eval
-    instrumentation).
     """
     B, n_q, d = query.shape
     n_k = key.shape[1]
@@ -154,7 +151,7 @@ def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
     q = split(params.q(query), n_q, (0, 2, 1, 3)) * (1.0 / math.sqrt(dh))
     k_t = split(params.k(key), n_k, (0, 2, 3, 1))   # (B, h, dh, n_k)
     v = split(params.v(value), n_k, (0, 2, 1, 3))   # (B, h, n_k, dh)
-    mixed = T.attention(q, k_t, v, key_mask, collect)  # (B, h, n_q, dh)
+    mixed = T.attention(q, k_t, v, key_mask)  # (B, h, n_q, dh)
     mixed = T.transpose(mixed, (0, 2, 1, 3)).reshape(B, n_q, d)
     return params.o(mixed)
 

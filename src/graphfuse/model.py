@@ -131,17 +131,19 @@ class TokenClassifier:
         self.token_vocab = token_vocab
         self.label_vocab = label_vocab
         c = config
-        self.encoder = EncoderParams.init(
-            rng.split(), c.vocab_size, c.d_emb, c.d, c.enc_layers,
-            c.enc_heads, c.max_len)
-        self.gat = None
-        self.decoder = None
-        if c.variant in ("gat", "full"):
-            self.gat = GatParams.init(rng.split(), c.d, c.gat_hidden, c.gat_heads)
-        if c.variant == "full":
-            self.decoder = DecoderParams.init(rng.split(), c.d, c.dec_heads)
-        self.head = Linear.init(rng.split(), c.d, c.n_labels)
-        self.flat = FlatParams(self.parameters())
+        try:
+            self.encoder = EncoderParams.init(
+                rng.split(), c.vocab_size, c.d_emb, c.d, c.enc_layers,
+                c.enc_heads, c.max_len)
+            self.gat = (GatParams.init(rng.split(), c.d, c.gat_hidden, c.gat_heads)
+                        if c.variant in ("gat", "full") else None)
+            self.decoder = (DecoderParams.init(rng.split(), c.d, c.dec_heads)
+                            if c.variant == "full" else None)
+            self.head = Linear.init(rng.split(), c.d, c.n_labels)
+            self.flat = FlatParams(self.parameters())
+        except (MemoryError, ValueError) as exc:  # numpy refuses the size
+            raise ConfigError(f"cannot allocate a model at max_len {c.max_len}, "
+                              f"d {c.d}, d_emb {c.d_emb}: {exc}") from None
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -165,6 +167,10 @@ class TokenClassifier:
         A training pass at a nonzero rate draws every dropout mask from
         ``rng``, stage by stage, and raises ContractError without one;
         otherwise no stage drops anything.
+
+        A ``collect`` dict receives the GAT's and decoder's attention maps:
+        ``gat_alpha`` (``edge_alpha``'s rows and targets), and ``dec_self``
+        and ``dec_cross``, one-element lists. Encoder maps are not recorded.
         """
         p = self.config.dropout
         drop = Dropout(p, rng) if training and p > 0.0 else None
@@ -172,20 +178,21 @@ class TokenClassifier:
             raise ContractError(f"a training pass at dropout {p} needs an rng "
                                 f"to draw its masks from")
         H = encode(batch, self.encoder, drop)
-        if self.config.variant == "encoder":
-            return classify(H, self.head)
-
-        mask = batch.attention_mask
-        alphas = [] if collect is not None else None
-        H_g = gat_forward(H, mask, self.gat, drop, alphas)
-        if collect is not None:
+        maps = [] if collect is not None else None
+        token = T._attention_maps.set(maps)
+        try:
+            if self.gat is not None:
+                H = gat_forward(H, batch.attention_mask, self.gat, drop)
+            if self.decoder is not None:
+                H = decode_refine(H, batch.attention_mask, self.decoder, drop)
+        finally:
+            T._attention_maps.reset(token)
+        if maps:
             collect["gat_alpha"] = edge_alpha(
-                alphas[0], batch.lengths, build_fully_connected(batch.lengths))
-        if self.config.variant == "gat":
-            return classify(H_g, self.head)
-
-        H_dec = decode_refine(H_g, mask, self.decoder, drop, collect)
-        return classify(H_dec, self.head)
+                maps[0], batch.lengths, build_fully_connected(batch.lengths))
+            for key, weights in zip(("dec_self", "dec_cross"), maps[1:]):
+                collect[key] = [weights]
+        return classify(H, self.head)
 
     def loss(self, batch: Batch, rng: RngState | None = None,
              training: bool = True) -> Tensor:

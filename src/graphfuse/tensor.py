@@ -79,6 +79,8 @@ LEAKY_RELU_SLOPE = 0.2  # the GAT's attention-logit slope; lies in (0, 1)
 # per thread (and per asyncio task): threaded evaluation must not switch
 # grad mode off for the caller
 _grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+# the list both attention ops append their weights to, in call order, or None
+_attention_maps: ContextVar[list | None] = ContextVar("attention_maps", default=None)
 
 
 @contextmanager
@@ -342,15 +344,14 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 # -- attention ----------------------------------------------------------------
 
-def attention(q, k_t, v, key_mask: np.ndarray,
-              collect: list | None = None) -> Tensor:
+def attention(q, k_t, v, key_mask: np.ndarray) -> Tensor:
     """``softmax(q @ k_t + key bias) @ v`` over the last axis, as one node.
 
     ``q`` is (B, h, n_q, dh), ``k_t`` (B, h, dh, n_k) and ``v`` (B, h, n_k,
     dv); the caller has already scaled ``q``. ``key_mask`` is the (B, n_k)
     boolean key mask (True = real key): pads get the MASK_NEG bias, so they
     receive exactly zero weight. The node keeps the (B, h, n_q, n_k) weights
-    and nothing else map-sized; ``collect`` receives them when given.
+    and nothing else map-sized.
     """
     q, k_t, v = _ensure_tensor(q), _ensure_tensor(k_t), _ensure_tensor(v)
     B, n_k = k_t.data.shape[0], k_t.data.shape[-1]
@@ -367,8 +368,8 @@ def attention(q, k_t, v, key_mask: np.ndarray,
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     out = np.matmul(y, v.data)
-    if collect is not None:
-        collect.append(y)
+    if (maps := _attention_maps.get()) is not None:
+        maps.append(y)
     need_q, need_k, need_v = q.requires_grad, k_t.requires_grad, v.requires_grad
 
     def bw(g):
@@ -385,16 +386,14 @@ def attention(q, k_t, v, key_mask: np.ndarray,
 
 
 def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
-                    keep: np.ndarray | None,
-                    collect: list | None = None) -> Tensor:
+                    keep: np.ndarray | None) -> Tensor:
     """GAT attention ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``.
 
     ``s_dst`` and ``s_src`` are the (B, h, n) score halves, ``wh`` the (B, h,
     n, dh) projected features and ``key_mask`` the (B, n) key mask. Pads get
     MASK_NEG as their source score, so they receive exactly zero weight.
     ``keep`` is the (B, h, n, n) inverted-dropout mask, or None in eval mode.
-    The node keeps the weights before dropout, ``keep`` and the sign of the
-    logits; ``collect`` receives the weights when given.
+    The node keeps the weights before dropout, ``keep`` and the logit signs.
     """
     s_dst, s_src, wh = _ensure_tensor(s_dst), _ensure_tensor(s_src), _ensure_tensor(wh)
     B, h, n = s_src.data.shape
@@ -416,8 +415,8 @@ def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
     y -= top[..., None]
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    if collect is not None:
-        collect.append(y)
+    if (maps := _attention_maps.get()) is not None:
+        maps.append(y)
     out = np.matmul(y if keep is None else y * keep, wh.data)
     need_dst, need_src, need_wh = s_dst.requires_grad, s_src.requires_grad, wh.requires_grad
 

@@ -2,12 +2,26 @@
 
 import json
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
+from graphfuse import tensor as T
 from graphfuse.data import Batch
 from graphfuse.rng import RngState
 from graphfuse.tensor import IGNORE_INDEX
+
+
+@contextmanager
+def attention_maps():
+    """Record every attention map the block computes: yields the list that
+    ``T.attention`` and ``T.graph_attention`` append their weights to."""
+    maps = []
+    token = T._attention_maps.set(maps)
+    try:
+        yield maps
+    finally:
+        T._attention_maps.reset(token)
 
 
 def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,

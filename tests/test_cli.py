@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from graphfuse import cli
+from graphfuse import cli, training
 from graphfuse.cli import main
 from graphfuse.errors import ParseError
 from graphfuse.model import build_config
@@ -507,6 +507,74 @@ class TestExitCodes:
         assert code == 2
         assert "unsupported checkpoint version 2" in err and "retrain" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "two"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--train", "{data}/train.conll", "--valid",
+         "{data}/valid.conll", "--out", "{tmp}/o", "--preset", "copy"],
+        ["ablate", "--out", "{tmp}/o", "--seeds", "0", "--epochs", "1",
+         "--hidden", "16", "--heads", "2"],
+        ["eval", "--checkpoint", "{run}/checkpoint.npz", "--test",
+         "{data}/test.conll", "--out", "{tmp}/o"],
+        ["predict", "--checkpoint", "{run}/checkpoint.npz", "--input",
+         "{data}/test.conll", "--output", "{tmp}/o"],
+    ], ids=["train", "ablate", "eval", "predict"])
+    def test_bad_thread_count_exits_before_any_work(
+            self, workdir, tmp_path, capsys, monkeypatch, argv, threads):
+        steps = []
+        real_step = training.adamw_step
+        monkeypatch.setattr(training, "adamw_step",
+                            lambda *a: steps.append(1) or real_step(*a))
+        monkeypatch.setenv("GRAPHFUSE_THREADS", threads)
+        paths = {"data": workdir / "data", "run": workdir / "run",
+                 "tmp": tmp_path}
+        code = run_cli([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2 and steps == []
+        assert err.startswith("error: GRAPHFUSE_THREADS must be")
+        assert not (tmp_path / "o").exists()  # no output, not even empty
+
+    def test_generate_ignores_thread_count(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAPHFUSE_THREADS", "0")
+        assert run_cli(["generate", "--task", "copy",
+                        "--out", str(tmp_path / "d")]) == 0
+
+    # sizes numpy refuses before it touches any memory; a size a machine
+    # could grant (10**9 positions, say) must never be tried here
+    @pytest.mark.parametrize("flags", [
+        ["--max-len", str(10**15)], ["--max-len", str(10**20)],
+        ["--hidden", str(10**15), "--heads", "1"]],
+        ids=["max-len-1e15", "max-len-1e20", "hidden-1e15"])
+    def test_unallocatable_model_exit_2(self, workdir, tmp_path, capsys,
+                                        flags):
+        data = workdir / "data"
+        code = run_cli(["train", "--train", str(data / "train.conll"),
+                        "--valid", str(data / "valid.conll"),
+                        "--out", str(tmp_path / "o"), "--preset", "copy",
+                        *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot allocate a model at max_len")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_with_unallocatable_max_len_exit_2(
+            self, workdir, tmp_path, capsys):
+        blob = dict(np.load(workdir / "run" / "checkpoint.npz",
+                            allow_pickle=False))
+        meta = json.loads(str(blob["__meta__"]))
+        meta["config"]["max_len"] = 10**15
+        blob["__meta__"] = np.array(json.dumps(meta))
+        bad = tmp_path / "huge.npz"
+        np.savez(bad, **blob)
+        code = run_cli(["predict", "--checkpoint", str(bad), "--input",
+                        str(workdir / "data" / "test.conll"),
+                        "--output", str(tmp_path / "p")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot allocate a model at max_len "
+                              f"{10**15}")
+        assert err.count("\n") == 1
 
     def test_non_utf8_line_past_first_read_chunk(self, tmp_path):
         path = tmp_path / "long.conll"

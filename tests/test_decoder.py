@@ -7,6 +7,7 @@ from graphfuse.layers import named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
+from helpers import attention_maps
 from oracles import finite_difference, max_rel_err
 
 
@@ -55,10 +56,10 @@ class TestDecodeRefine:
         params = make_params(seed=7)
         x = Tensor(RngState(8).normal((3, 5, 8)) * 2)
         mask = mask_for([5, 2, 4], 5)
-        collect = {}
-        decode_refine(x, mask, params, None, collect)
-        assert len(collect["dec_self"]) == 1 and len(collect["dec_cross"]) == 1
-        for weights in collect["dec_self"] + collect["dec_cross"]:
+        with attention_maps() as maps:
+            decode_refine(x, mask, params, None)
+        assert len(maps) == 2  # self-attention, then cross-attention
+        for weights in maps:
             totals = weights.sum(axis=-1)  # (B, H, n_q)
             np.testing.assert_allclose(totals, np.ones_like(totals), atol=1e-9)
             # masked keys carry exactly zero weight

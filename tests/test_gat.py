@@ -10,6 +10,7 @@ from graphfuse.layers import Dropout, named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
+from helpers import attention_maps
 from oracles import (attention_logits, dense_gat_reference, finite_difference,
                      gat_head, max_rel_err)
 
@@ -57,19 +58,19 @@ class TestAttentionLogits:
 class TestGatForward:
     def test_single_node_alpha_is_one(self):
         params = make_params(seed=4)
-        collect = []
-        out = gat_forward(Tensor(RngState(5).normal((1, 1, 6))), full_mask(1, 1),
-                          params, None, collect)
-        np.testing.assert_allclose(collect[0], np.ones((1, 2, 1, 1)))
+        with attention_maps() as maps:
+            out = gat_forward(Tensor(RngState(5).normal((1, 1, 6))),
+                              full_mask(1, 1), params, None)
+        np.testing.assert_allclose(maps[0], np.ones((1, 2, 1, 1)))
         assert out.shape == (1, 1, 6)
 
     def test_identical_features_give_uniform_alpha(self):
         params = make_params(seed=6)
         n = 5
         H = Tensor(np.tile(RngState(7).normal((1, 1, 6)), (1, n, 1)))
-        collect = []
-        gat_forward(H, full_mask(1, n), params, None, collect)
-        np.testing.assert_allclose(collect[0], np.full((1, 2, n, n), 1.0 / n),
+        with attention_maps() as maps:
+            gat_forward(H, full_mask(1, n), params, None)
+        np.testing.assert_allclose(maps[0], np.full((1, 2, n, n), 1.0 / n),
                                    atol=1e-12)
 
     def test_alpha_sums_to_one_per_neighborhood(self):
@@ -77,9 +78,9 @@ class TestGatForward:
         lengths = [4, 1, 6]
         mask = length_mask(lengths)
         H = Tensor(RngState(9).normal((3, 6, 6)) * 3)
-        collect = []
-        gat_forward(H, mask, params, None, collect)  # eval mode
-        alpha = collect[0]
+        with attention_maps() as maps:
+            gat_forward(H, mask, params, None)  # eval mode
+        alpha = maps[0]
         for b, n in enumerate(lengths):
             np.testing.assert_allclose(alpha[b, :, :n].sum(-1), 1.0, atol=1e-9)
             assert np.all(alpha[b, :, :, n:] == 0.0)  # pad keys get no weight
@@ -88,9 +89,9 @@ class TestGatForward:
         rng = RngState(10)
         params = make_params(d=5, hidden=6, heads=2, seed=10)
         H = rng.normal((4, 5))
-        collect = []
-        out = gat_forward(Tensor(H[None]), full_mask(1, 4), params, None,
-                          collect).data[0]
+        with attention_maps() as maps:
+            out = gat_forward(Tensor(H[None]), full_mask(1, 4), params,
+                              None).data[0]
 
         W_heads = [params.W.data[i] for i in range(2)]
         a_heads = [np.concatenate([params.a_dst.data[i], params.a_src.data[i]])
@@ -100,7 +101,7 @@ class TestGatForward:
         np.testing.assert_allclose(out, want, rtol=1e-10, atol=1e-12)
 
         edges = build_fully_connected([4])
-        alpha, tgt = edge_alpha(collect[0], [4], edges)
+        alpha, tgt = edge_alpha(maps[0], [4], edges)
         for hi in range(2):
             dense = np.zeros((4, 4))
             # edge order is source-major: e = src*4 + dst for a single sample

@@ -9,15 +9,20 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from graphfuse import model as model_module
 from graphfuse import tensor as T
 from graphfuse.data import LabelVocab, Sentence, TokenVocab, make_batches
+from graphfuse.decoder import decode_refine
+from graphfuse.encoder import encode
 from graphfuse.errors import ConfigError, ContractError
+from graphfuse.gat import edge_alpha, gat_forward
+from graphfuse.graph import build_fully_connected
 from graphfuse.layers import named_parameters
 from graphfuse.model import ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from helpers import assert_views_of_flat
+from helpers import assert_views_of_flat, attention_maps
 from oracles import adamw_step_reference
 
 
@@ -325,6 +330,75 @@ def test_dropout_rate_has_one_owner():
     assert model.loss(batch, RngState(4), training=True).item() != eval_loss
     model.config.dropout = 0.0
     assert model.loss(batch, RngState(4), training=True).item() == eval_loss
+
+
+class TestAttentionCapture:
+    """``forward(..., collect=...)`` records the GAT's and decoder's maps and
+    nothing else, and leaves no recorder set behind it."""
+
+    @pytest.mark.parametrize("enc_layers", [0, 1])
+    @pytest.mark.parametrize("variant, keys", [
+        ("encoder", []), ("gat", ["gat_alpha"]),
+        ("full", ["dec_cross", "dec_self", "gat_alpha"])])
+    def test_collect_holds_the_gat_and_decoder_maps(self, variant, keys,
+                                                    enc_layers):
+        model, batches = build_world(variant, n_sents=6, enc_layers=enc_layers)
+        batch = batches[1]
+        mask = batch.attention_mask
+        # the stage maps, recorded one stage at a time
+        with attention_maps() as encoder_maps:
+            H = encode(batch, model.encoder, None)
+        with attention_maps() as maps:
+            if model.gat is not None:
+                H = gat_forward(H, mask, model.gat, None)
+            if model.decoder is not None:
+                decode_refine(H, mask, model.decoder, None)
+        assert len(encoder_maps) == enc_layers
+
+        collect = {}
+        logits = model.forward(batch, collect=collect)
+        assert sorted(collect) == keys
+        assert logits.data.tobytes() == model.forward(batch).data.tobytes()
+        if model.gat is not None:
+            want = edge_alpha(maps[0], batch.lengths,
+                              build_fully_connected(batch.lengths))
+            for got, expected in zip(collect["gat_alpha"], want, strict=True):
+                assert got.tobytes() == expected.tobytes()
+        if model.decoder is not None:
+            assert [len(collect["dec_self"]), len(collect["dec_cross"])] == [1, 1]
+            assert collect["dec_self"][0].tobytes() == maps[1].tobytes()
+            assert collect["dec_cross"][0].tobytes() == maps[2].tobytes()
+
+    def test_recorder_is_reset_after_a_pass_and_after_a_raise(self,
+                                                              monkeypatch):
+        model, batches = build_world("full", enc_layers=1)
+        batch = batches[0]
+        collect = {}
+        model.forward(batch, collect=collect)
+        assert T._attention_maps.get() is None
+
+        class Failure(Exception):
+            pass
+
+        recorders = []
+
+        def failing_decoder(*args):
+            recorders.append(T._attention_maps.get())
+            raise Failure
+
+        monkeypatch.setattr(model_module, "decode_refine", failing_decoder)
+        with pytest.raises(Failure):
+            model.forward(batch, collect={})
+        monkeypatch.undo()
+        assert T._attention_maps.get() is None
+        leaked = recorders[0]  # the failed pass's list: the GAT's map only
+        assert len(leaked) == 1
+
+        # a later pass, encoder block included, appends to neither list
+        model.predict_batch(batch)
+        model.loss(batch, RngState(0), training=True)
+        assert len(leaked) == 1
+        assert [len(collect["dec_self"]), len(collect["dec_cross"])] == [1, 1]
 
 
 def test_every_tensor_op_is_reached():

@@ -12,6 +12,7 @@ from graphfuse.layers import Dropout, apply_dropout
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
+from helpers import attention_maps
 from oracles import (finite_difference, leaky_relu, masked_softmax,
                      max_rel_err, scatter_add_rows_reference)
 
@@ -125,11 +126,11 @@ def fused_inputs(op, rng):
     return [rng.normal((2, 3, 5)), rng.normal((2, 3, 5)), rng.normal((2, 3, 5, 2))]
 
 
-def fused_op(op, a, b, c, collect=None):
+def fused_op(op, a, b, c):
     if op == "attention":
-        return T.attention(a, b, c, PAD_MASK, collect)
+        return T.attention(a, b, c, PAD_MASK)
     keep = KEEP if op == "graph_attention_keep" else None
-    return T.graph_attention(a, b, c, PAD_MASK, keep, collect)
+    return T.graph_attention(a, b, c, PAD_MASK, keep)
 
 
 def oracle_weights(op, a, b):
@@ -148,9 +149,9 @@ class TestSoftmax:
         np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
         # q = 0 gives every real key the same weight
         v = RngState(1).normal((2, 3, 5, 2))
-        weights = []
-        T.attention(np.zeros((2, 3, 4, 2)), np.ones((2, 3, 2, 5)), v,
-                    PAD_MASK, weights)
+        with attention_maps() as weights:
+            T.attention(np.zeros((2, 3, 4, 2)), np.ones((2, 3, 2, 5)), v,
+                        PAD_MASK)
         np.testing.assert_allclose(weights[0][0, ..., :3], 1 / 3, atol=1e-15)
         assert (weights[0][1, ..., 0] == 1.0).all()
 
@@ -169,8 +170,8 @@ class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = RngState(2)
         q, k_t, v = fused_inputs("attention", rng)
-        weights = []
-        T.attention(q * 30.0, k_t, v, all_keys((2, 5)), weights)
+        with attention_maps() as weights:
+            T.attention(q * 30.0, k_t, v, all_keys((2, 5)))
         np.testing.assert_allclose(weights[0].sum(axis=-1), 1.0, atol=1e-9)
         assert (weights[0] > 0).all()
 
@@ -195,8 +196,8 @@ class TestSoftmax:
         q, k_t, v = fused_inputs("attention", rng)
         q *= 3.0
         bias = np.where(PAD_MASK, 0.0, T.MASK_NEG)[:, None, None, :]
-        weights = []
-        out = T.attention(q, k_t, v, PAD_MASK, weights)
+        with attention_maps() as weights:
+            out = T.attention(q, k_t, v, PAD_MASK)
         want = masked_softmax(q @ k_t + bias, all_keys((2, 5)))
         assert masked_softmax(q @ k_t, PAD_MASK).tobytes() == want.tobytes()
         assert weights[0].tobytes() == want.tobytes()
@@ -221,8 +222,8 @@ class TestFusedAttention:
     @pytest.mark.parametrize("op", FUSED_OPS)
     def test_forward_bitwise_equals_oracle_composition(self, op):
         a, b, c = fused_inputs(op, RngState(22))
-        weights = []
-        out = fused_op(op, a, b, c, collect=weights)
+        with attention_maps() as weights:
+            out = fused_op(op, a, b, c)
         want = oracle_weights(op, a, b)
         assert weights[0].tobytes() == want.tobytes()
         dropped = want * KEEP if op == "graph_attention_keep" else want
@@ -234,8 +235,8 @@ class TestFusedAttention:
         # large scores and values at pads must not leak into the output
         np.moveaxis(b, -1, 1)[~PAD_MASK] = 1e6
         np.moveaxis(c, 2, 1)[~PAD_MASK] = 1e6
-        weights = []
-        out = fused_op(op, a, b, c, collect=weights)
+        with attention_maps() as weights:
+            out = fused_op(op, a, b, c)
         assert (at_keys(weights[0], -1) == 0.0).all()
         assert (weights[0][1, ..., 0] == 1.0).all()
         assert np.abs(out.data).max() < 1e3
@@ -280,8 +281,8 @@ class TestPointwise:
         wh = rng.normal((1, 1, 7, 2))
         g = rng.normal((1, 1, 7, 2))
         mask = np.ones((1, 7), bool)
-        weights = []
-        out = T.graph_attention(s_dst, s_src, wh, mask, None, weights)
+        with attention_maps() as weights:
+            out = T.graph_attention(s_dst, s_src, wh, mask, None)
         y = weights[0]
         assert y.tobytes() == masked_softmax(
             np.broadcast_to(want, (1, 1, 7, 7)), mask).tobytes()
@@ -302,9 +303,9 @@ class TestPointwise:
         s_src = Tensor(-1.0 + rng.uniform(-0.3, 0.3, (1, 2, 3)), requires_grad=True)
         wh = rng.normal((1, 2, 3, 2))
         g = rng.normal((1, 2, 3, 2))
-        weights = []
-        out = T.graph_attention(s_dst, s_src, wh, np.ones((1, 3), bool), None,
-                                weights)
+        with attention_maps() as weights:
+            out = T.graph_attention(s_dst, s_src, wh, np.ones((1, 3), bool),
+                                    None)
         (out * g).sum().backward()
         y = weights[0]
         gy = g @ wh.transpose(0, 1, 3, 2)
