@@ -19,13 +19,26 @@ import numpy as np
 from .data import LabelVocab, TokenVocab
 from .errors import ConfigError
 from .model import ModelConfig, TokenClassifier, build_config
-from .rng import RngState
 
 FORMAT_VERSION = 3
 _META_KEY = "__meta__"
 _PARAMS_KEY = "params"
 _META_FIELDS = {"format_version", "config", "token_vocab", "label_vocab",
                 "layout"}
+
+
+class _NoDraws:
+    """The draw source of a model whose parameters a load overwrites: the
+    stage ``init``s get uninitialised arrays, and no random number is drawn."""
+
+    def split(self) -> "_NoDraws":
+        return self
+
+    def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
+        return np.empty(shape)
+
+    def normal(self, shape=(), std: float = 1.0) -> np.ndarray:
+        return np.empty(shape)
 
 
 def save_checkpoint(path: str, model: TokenClassifier) -> None:
@@ -87,7 +100,7 @@ def load_checkpoint(path: str) -> TokenClassifier:
     config = build_config(ModelConfig, meta["config"], "checkpoint model")
     token_vocab = TokenVocab.from_mapping(meta["token_vocab"])
     label_vocab = LabelVocab.from_mapping(meta["label_vocab"])
-    model = TokenClassifier(config, token_vocab, label_vocab, RngState(0))
+    model = TokenClassifier(config, token_vocab, label_vocab, _NoDraws())
     layout, stored = model.flat.layout, meta["layout"]
     if stored != layout:  # name the first entry that differs
         stored = stored if isinstance(stored, list) else [stored]

@@ -10,7 +10,8 @@ projected back to d.
 The per-token score halves ``s_dst`` and ``s_src`` are (B, heads, n)
 vectors; ``T.graph_attention`` builds their pairwise sums, the leaky ReLU,
 the masked softmax, the attention dropout and the product with W h as one
-node, which keeps the weights, the dropout mask and the logit signs.
+node, which keeps the unnormalised weights and their row sums, the dropout
+mask and the logit signs.
 """
 
 from __future__ import annotations

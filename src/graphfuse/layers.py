@@ -134,10 +134,13 @@ def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
                          value: Tensor, key_mask: np.ndarray) -> Tensor:
     """Scaled dot-product attention with key-side padding masking.
 
-    ``key_mask`` is the (B, n_k) boolean attention mask (True = real token).
-    Masked keys receive exactly zero weight, so every row still sums to 1
-    over the unmasked keys. q is scaled by 1/√dh before ``T.attention``,
-    which keeps the (B, H, n_q, n_k) weights as its only map-sized buffer.
+    ``key_mask`` is the (B, n_k) boolean attention mask (True = real token)
+    and must be a prefix mask, each row's real tokens before its pads, as
+    ``make_batches`` builds it; ``T.attention`` raises ContractError
+    otherwise. Masked keys receive exactly zero weight, so every row still
+    sums to 1 over the unmasked keys. q is scaled by 1/√dh before
+    ``T.attention``, which keeps the (B, H, n_q, n_k) unnormalised weights
+    as its only map-sized buffer.
     """
     B, n_q, d = query.shape
     n_k = key.shape[1]

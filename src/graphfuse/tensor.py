@@ -35,29 +35,42 @@ Design notes
   log-sum-exp is detached, which is exact because the shift cancels in the
   gradient.
 * Each attention map is one node that holds one (B, h, n, n) float64
-  buffer, the weights; the bias, shift, exp and normalisation run in place
-  in it. ``attention(q, k_t, v, key_mask)`` is ``softmax(q @ k_t) @ v``
-  with ``MASK_NEG`` (the constant's one owner) added at pad keys.
-  ``multi_head_attention`` scales q by 1/√dh rather than the scores: that
-  is n·dh products instead of n², and bitwise equal to scaling the scores
-  when 1/√dh is a power of two (dh = 4, 16, 64); at dh = 32 the two differ
-  by rounding.
+  buffer, the unnormalised weights E = exp(logits − row max); the pad
+  scores, shift and exp run in place in it. The forward normalises after
+  the value product (FlashAttention, Dao et al. 2022): ``E @ [v | 1]`` is
+  one product whose last column is the row sum Z, so the weights E / Z are
+  never formed and no map-sized sum or divide runs. Each row's max entry
+  is exactly 1, so Z >= 1. The outputs differ from the composed masked
+  softmax (``tests/oracles.py``) by rounding only, within 1e-15 of their
+  largest magnitude.
+* ``attention(q, k_t, v, key_mask)`` is ``softmax(q @ k_t) @ v`` with pad
+  keys at ``MASK_NEG`` (the constant's one owner). The key mask must be a
+  prefix mask, as every batch is: each sample's pad columns are one
+  trailing slice, set to ``MASK_NEG`` in place of a broadcast bias add.
+  That is bitwise the bias add, since fl(s + MASK_NEG) = MASK_NEG for
+  |s| < 7e13. ``multi_head_attention`` scales q by 1/√dh rather than the
+  scores: that is n·dh products instead of n², and bitwise equal to
+  scaling the scores when 1/√dh is a power of two (dh = 4, 16, 64); at
+  dh = 32 the two differ by rounding.
 * ``graph_attention(s_dst, s_src, wh, key_mask, keep)`` is the GAT's
   ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. Pads get
-  ``MASK_NEG`` as their (B, h, n) source score, so no bias pass over the map
+  ``MASK_NEG`` as their (B, h, n) source score, so no pad pass over the map
   is needed. Its row max is ``leaky_relu(s_dst_i + max_j s_src_j)``, taken
   on vectors: x -> fl(s_dst_i + x) and the leaky ReLU are monotone, so this
-  is exactly the max over the map's row. Besides the weights it keeps the
-  dropout mask and a bool map of negative logits, whose slope factor is
-  exactly 1.0 or ``LEAKY_RELU_SLOPE``. Both forwards are bitwise the
-  composed masked softmax (``tests/oracles.py``).
-* Both backwards use rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention, Dao et
-  al. 2022): the softmax backward's row term is a dot product over dh, not
-  a map product reduced over n_k. It holds with dropout, because O is the
-  output after dropout. It is the same sum in another order, so the
-  gradients of the scores and of everything upstream of them differ from
-  the composed form's by rounding only; given the same incoming gradient,
-  those of v and wh are bitwise equal.
+  is exactly the max over the map's row. With dropout, Z is one product
+  ``E @ 1`` and the output is ``((E∘keep) @ wh) / Z``. Besides E and Z it
+  keeps the dropout mask and a bool map of negative logits.
+* No map pass runs a masked ufunc (numpy's ``where`` keyword) or a scalar
+  ``np.where``: both run slow per-element loops. The leaky ReLU is ``max(y, slope·y)``
+  and its gradient factor is the map ``neg·slope + ~neg``, exactly 1.0 or
+  ``LEAKY_RELU_SLOPE``; ReLU is ``max(x, 0)``. Each gives the same bytes as
+  the select it replaces, ±0.0 and subnormals included.
+* Both backwards use rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention): the
+  softmax backward's row term is a dot product over dh, not a map product
+  reduced over n_k. It holds with dropout, because O is the output after
+  dropout. The incoming gradient is divided by Z first, on the output's
+  shape, so E is the only map factor: the score gradient is
+  E∘(g/Z @ vᵀ − rowsum(g/Z∘O)) and the value gradient Eᵀ @ (g/Z).
 * A backward closure never writes into the incoming ``g``: ``add`` hands the
   same array to both parents, so it may be another node's pending gradient.
   In-place work goes into a buffer the closure allocated itself.
@@ -296,7 +309,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 def relu(x) -> Tensor:
     x = _ensure_tensor(x)
     pos = x.data > 0
-    return _make(np.where(pos, x.data, 0.0), (x,), lambda g: (g * pos,))
+    return _make(np.maximum(x.data, 0.0), (x,), lambda g: (g * pos,))
 
 
 def elu(x) -> Tensor:
@@ -310,7 +323,8 @@ def elu(x) -> Tensor:
     out += np.maximum(x.data, 0.0)
 
     def bw(g):
-        return (g * np.where(x.data > 0, 1.0, out + 1.0),)
+        # min(out, 0) is out below zero and +0.0 above (out > 0 iff x > 0)
+        return (g * (np.minimum(out, 0.0) + 1.0),)
 
     return _make(out, (x,), bw)
 
@@ -344,14 +358,32 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 # -- attention ----------------------------------------------------------------
 
+def _normalised_product(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(e @ v) / z`` and the row sums ``z`` of ``e``, from one product.
+
+    ``v`` gets a ones column, so the product's last column is ``z``: the
+    normalisation costs an output-sized divide, not a pass over the map.
+    """
+    d = v.shape[-1]
+    v1 = np.empty((*v.shape[:-1], d + 1))
+    v1[..., :d] = v
+    v1[..., d] = 1.0
+    num = np.matmul(e, v1)
+    z = num[..., d:]
+    return num[..., :d] / z, z
+
+
 def attention(q, k_t, v, key_mask: np.ndarray) -> Tensor:
     """``softmax(q @ k_t + key bias) @ v`` over the last axis, as one node.
 
     ``q`` is (B, h, n_q, dh), ``k_t`` (B, h, dh, n_k) and ``v`` (B, h, n_k,
     dv); the caller has already scaled ``q``. ``key_mask`` is the (B, n_k)
-    boolean key mask (True = real key): pads get the MASK_NEG bias, so they
-    receive exactly zero weight. The node keeps the (B, h, n_q, n_k) weights
-    and nothing else map-sized.
+    boolean key mask (True = real key) and must be a prefix mask: each row
+    is its real keys, then its pads, as ``make_batches`` builds it;
+    anything else raises ContractError. Pad scores are set to MASK_NEG, so
+    pads receive exactly zero weight. The node keeps the (B, h, n_q, n_k)
+    unnormalised weights and their (B, h, n_q, 1) row sums, and nothing else
+    map-sized.
     """
     q, k_t, v = _ensure_tensor(q), _ensure_tensor(k_t), _ensure_tensor(v)
     B, n_k = k_t.data.shape[0], k_t.data.shape[-1]
@@ -362,25 +394,31 @@ def attention(q, k_t, v, key_mask: np.ndarray) -> Tensor:
             f"attention needs q (B, h, n_q, dh), k_t (B, h, dh, n_k), "
             f"v (B, h, n_k, dv) and key_mask (B, n_k), got {q.data.shape}, "
             f"{k_t.data.shape}, {v.data.shape} and {key_mask.shape}")
-    y = np.matmul(q.data, k_t.data)
-    y += np.where(key_mask, 0.0, MASK_NEG)[:, None, None, :]
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    out = np.matmul(y, v.data)
+    lengths = key_mask.sum(axis=1)
+    if not (key_mask == (np.arange(n_k) < lengths[:, None])).all():
+        raise ContractError("attention needs a prefix key mask: in each row, "
+                            "the real keys (True) come before the pads")
+    e = np.matmul(q.data, k_t.data)
+    for b in np.flatnonzero(lengths < n_k):
+        e[b, ..., lengths[b]:] = MASK_NEG
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    out, z = _normalised_product(e, v.data)
     if (maps := _attention_maps.get()) is not None:
-        maps.append(y)
+        maps.append(e / z)
     need_q, need_k, need_v = q.requires_grad, k_t.requires_grad, v.requires_grad
 
     def bw(g):
+        # the weights are e / z: folding 1/z into g leaves e as the map factor.
         # rowsum(gy∘y) = rowsum(g∘out): the softmax backward needs no map
         # product and no row reduction over n_k
-        gs = np.matmul(g, _matrix_t(v.data))
-        gs -= (g * out).sum(axis=-1, keepdims=True)
-        gs *= y
+        gz = g / z
+        gs = np.matmul(gz, _matrix_t(v.data))
+        gs -= (gz * out).sum(axis=-1, keepdims=True)
+        gs *= e
         return (np.matmul(gs, _matrix_t(k_t.data)) if need_q else None,
                 np.matmul(_matrix_t(q.data), gs) if need_k else None,
-                np.matmul(_matrix_t(y), g) if need_v else None)
+                np.matmul(_matrix_t(e), gz) if need_v else None)
 
     return _make(out, (q, k_t, v), bw)
 
@@ -393,7 +431,8 @@ def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
     n, dh) projected features and ``key_mask`` the (B, n) key mask. Pads get
     MASK_NEG as their source score, so they receive exactly zero weight.
     ``keep`` is the (B, h, n, n) inverted-dropout mask, or None in eval mode.
-    The node keeps the weights before dropout, ``keep`` and the logit signs.
+    The node keeps the unnormalised weights and their row sums, ``keep`` and
+    the logit signs.
     """
     s_dst, s_src, wh = _ensure_tensor(s_dst), _ensure_tensor(s_src), _ensure_tensor(wh)
     B, h, n = s_src.data.shape
@@ -405,32 +444,41 @@ def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
             f"{wh.data.shape} and {key_mask.shape}")
     slope = LEAKY_RELU_SLOPE
     src = np.where(key_mask[:, None, :], s_src.data, MASK_NEG)
-    y = s_dst.data[..., None] + src[..., None, :]
-    neg = y < 0
-    np.multiply(y, slope, out=y, where=neg)
+    e = s_dst.data[..., None] + src[..., None, :]
+    neg = e < 0
+    np.maximum(e, e * slope, out=e)
     # the row max, exactly: x -> fl(s_dst_i + x) and the leaky ReLU are
     # monotone, so max_j of the logits is the logit of max_j src_j
     top = s_dst.data + src.max(axis=-1, keepdims=True)
-    np.multiply(top, slope, out=top, where=top < 0)
-    y -= top[..., None]
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    np.maximum(top, top * slope, out=top)
+    e -= top[..., None]
+    np.exp(e, out=e)
+    if keep is None:
+        out, z = _normalised_product(e, wh.data)
+    else:
+        z = np.matmul(e, np.ones(n))[..., None]
+        out = np.matmul(e * keep, wh.data)
+        out /= z
     if (maps := _attention_maps.get()) is not None:
-        maps.append(y)
-    out = np.matmul(y if keep is None else y * keep, wh.data)
+        maps.append(e / z)
     need_dst, need_src, need_wh = s_dst.requires_grad, s_src.requires_grad, wh.requires_grad
 
     def bw(g):
+        gz = g / z
         dwh = None
         if need_wh:
-            dwh = np.matmul(_matrix_t(y if keep is None else y * keep), g)
-        gs = np.matmul(g, _matrix_t(wh.data))
+            dwh = np.matmul(_matrix_t(e if keep is None else e * keep), gz)
+        gs = np.matmul(gz, _matrix_t(wh.data))
         if keep is not None:
             gs *= keep
         # rowsum(gs∘y) = rowsum(g∘out), with or without dropout
-        gs -= (g * out).sum(axis=-1, keepdims=True)
-        gs *= y
-        np.multiply(gs, slope, out=gs, where=neg)
+        gs -= (gz * out).sum(axis=-1, keepdims=True)
+        gs *= e
+        # the leaky ReLU's factor: exactly the slope at a negative logit, 1.0
+        # elsewhere
+        f = neg * slope
+        f += ~neg
+        gs *= f
         return (gs.sum(axis=-1) if need_dst else None,
                 gs.sum(axis=-2) if need_src else None,
                 dwh)

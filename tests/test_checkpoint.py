@@ -57,6 +57,22 @@ class TestRoundTrip:
         b = predict_corpus(loaded, sents, batch_size=4, max_len=16)
         assert a == b
 
+    def test_load_draws_no_random_numbers(self, setup, tmp_path, monkeypatch):
+        model, sents = setup
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(str(path), model)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(RngState, "uniform", refuse)
+        monkeypatch.setattr(RngState, "normal", refuse)
+        loaded = load_checkpoint(str(path))
+        assert_views_of_flat(loaded)
+        assert loaded.flat.data.tobytes() == model.flat.data.tobytes()
+        assert predict_corpus(loaded, sents, batch_size=4, max_len=16) == \
+            predict_corpus(model, sents, batch_size=4, max_len=16)
+
     def test_archive_holds_meta_and_flat_params(self, setup, tmp_path):
         model, _ = setup
         path = tmp_path / "ckpt.npz"

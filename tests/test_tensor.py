@@ -1,5 +1,7 @@
 """Tensor-core tests. Gradient expectations come from tests/oracles.py."""
 
+import pathlib
+import re
 import threading
 
 import numpy as np
@@ -200,8 +202,8 @@ class TestSoftmax:
             out = T.attention(q, k_t, v, PAD_MASK)
         want = masked_softmax(q @ k_t + bias, all_keys((2, 5)))
         assert masked_softmax(q @ k_t, PAD_MASK).tobytes() == want.tobytes()
-        assert weights[0].tobytes() == want.tobytes()
-        assert out.data.tobytes() == np.matmul(want, v).tobytes()
+        assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.abs(out.data - want @ v).max() <= 1e-15 * np.abs(want @ v).max()
         assert (weights[0][1, :, :, 1:] == 0.0).all()
         assert (weights[0][1, :, :, 0] == 1.0).all()
 
@@ -217,17 +219,29 @@ class TestSoftmax:
         with pytest.raises(ShapeMismatchError):
             T.graph_attention(s_dst, s_src[:, :, :4], wh, PAD_MASK, None)
 
+    @pytest.mark.parametrize("row", [[True, False, True], [False, True, True],
+                                     [False, False, True]])
+    def test_key_mask_must_be_a_prefix_mask(self, row):
+        rng = RngState(0)
+        q, k_t, v = (rng.normal(s) for s in ((1, 2, 4, 2), (1, 2, 2, 3),
+                                                (1, 2, 3, 2)))
+        with pytest.raises(ContractError, match="prefix"):
+            T.attention(q, k_t, v, np.array([row]))
+        # the prefix masks of the same width pass
+        for n in range(4):
+            T.attention(q, k_t, v, np.array([[True] * n + [False] * (3 - n)]))
+
 
 class TestFusedAttention:
     @pytest.mark.parametrize("op", FUSED_OPS)
-    def test_forward_bitwise_equals_oracle_composition(self, op):
+    def test_forward_equals_oracle_composition(self, op):
         a, b, c = fused_inputs(op, RngState(22))
         with attention_maps() as weights:
             out = fused_op(op, a, b, c)
         want = oracle_weights(op, a, b)
-        assert weights[0].tobytes() == want.tobytes()
+        assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
         dropped = want * KEEP if op == "graph_attention_keep" else want
-        assert out.data.tobytes() == np.matmul(dropped, c).tobytes()
+        assert np.abs(out.data - dropped @ c).max() <= 1e-15 * np.abs(dropped @ c).max()
 
     @pytest.mark.parametrize("op", FUSED_OPS)
     def test_pad_keys_get_exactly_zero_weight(self, op):
@@ -294,6 +308,41 @@ class TestPointwise:
         d_x = np.where(x >= 0, 1.0, slope) * d_logits
         np.testing.assert_allclose(s_src.grad, d_x.sum(axis=-2), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(s_dst.grad, d_x.sum(axis=-1), rtol=1e-12, atol=1e-15)
+
+    def test_leaky_relu_grad_with_dropout_at_edge_values(self):
+        # test_leaky_relu_bitwise_equals_where's hand formula, on the dropout
+        # path: the factor is 1.0 at -0.0, 0.0 and 1e-300, the slope at -1e-300
+        slope = T.LEAKY_RELU_SLOPE
+        x = np.array([-3.5, -1e-300, -0.0, 0.0, 1e-300, 2.25, -7.0])
+        rng = RngState(19)
+        keep = Dropout(0.4, rng).keep((1, 1, 7, 7))
+        s_dst = Tensor(np.full((1, 1, 7), -0.0), requires_grad=True)
+        s_src = Tensor(x.reshape(1, 1, 7), requires_grad=True)
+        wh = rng.normal((1, 1, 7, 2))
+        g = rng.normal((1, 1, 7, 2))
+        with attention_maps() as weights:
+            out = T.graph_attention(s_dst, s_src, wh, np.ones((1, 7), bool), keep)
+        (out * g).sum().backward()
+        y = weights[0]
+        gy = g @ wh.transpose(0, 1, 3, 2) * keep
+        d_logits = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+        factor = np.where(x >= 0, 1.0, slope)
+        # every row's logits are x, so each column's sum carries its factor
+        np.testing.assert_allclose(s_src.grad, factor * d_logits.sum(axis=-2),
+                                   rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(s_dst.grad, (factor * d_logits).sum(axis=-1),
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_relu_and_elu_factor_bitwise_equal_where(self):
+        x = np.array([-0.0, 0.0, -5e-324, 5e-324, -1e-300, 1e-300,
+                      -1e308, 1e308, -2.5, 0.75])
+        assert T.relu(Tensor(x)).data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        t = Tensor(x, requires_grad=True)
+        out = T.elu(t)
+        out.sum().backward()
+        # the gradient of a plain sum is the factor itself
+        want = np.where(x > 0, 1.0, out.data + 1.0)
+        assert t.grad.tobytes() == want.tobytes()
 
     def test_leaky_relu_grad_at_minus_two(self):
         # every logit lies near -2, so each score's gradient is the slope
@@ -664,3 +713,12 @@ class TestMaskedCrossEntropy:
         logits = Tensor(np.zeros((1, 2, 3)))
         with pytest.raises(ContractError):
             T.masked_cross_entropy(logits, np.array([[0, 7]]))
+
+
+def test_no_source_line_passes_where():
+    """No op in ``tensor.py`` runs a masked ufunc: ``where=`` sends numpy to
+    its slow per-element loops, so the map passes use maximum forms and
+    factor maps instead."""
+    lines = pathlib.Path(T.__file__).read_text().splitlines()
+    found = [line.strip() for line in lines if re.search(r"\bwhere\s*=(?!=)", line)]
+    assert found == []
