@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (Attention, Dropout, FeedForward, LayerNorm,
-                     apply_dropout, multi_head_attention)
+from .layers import Attention, Dropout, FeedForward, LayerNorm, apply_dropout
 from .rng import RngState
 from .tensor import Tensor
 
@@ -44,9 +43,9 @@ def decode_refine(H_gat: Tensor, pad_mask: np.ndarray, params: DecoderParams,
     Cross-attention keys and values are the layer input ``H_gat`` (the
     graph-stage output); its queries are the self-attention result.
     """
-    sa = multi_head_attention(params.self_attn, H_gat, H_gat, H_gat, pad_mask)
+    sa = params.self_attn(H_gat, H_gat, H_gat, pad_mask)
     x = params.norm1(H_gat + apply_dropout(sa, drop))
-    ca = multi_head_attention(params.cross_attn, x, H_gat, H_gat, pad_mask)
+    ca = params.cross_attn(x, H_gat, H_gat, pad_mask)
     x = params.norm2(x + apply_dropout(ca, drop))
     ff = params.ff(x)
     return params.norm3(x + apply_dropout(ff, drop))

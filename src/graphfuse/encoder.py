@@ -16,7 +16,7 @@ from . import tensor as T
 from .data import Batch
 from .errors import ContractError
 from .layers import (Attention, Dropout, FeedForward, LayerNorm, Linear,
-                     apply_dropout, multi_head_attention)
+                     apply_dropout)
 from .rng import RngState
 from .tensor import Tensor
 
@@ -79,8 +79,7 @@ def encode(batch: Batch, params: EncoderParams, drop: Dropout | None) -> Tensor:
     x = x + Tensor(params.positional[:n])
     x = apply_dropout(x, drop)
     for block in params.blocks:
-        attn = multi_head_attention(block.attn, x, x, x,
-                                    key_mask=batch.attention_mask)
+        attn = block.attn(x, x, x, batch.attention_mask)
         x = block.norm1(x + apply_dropout(attn, drop))
         ff = block.ff(x)
         x = block.norm2(x + apply_dropout(ff, drop))

@@ -11,7 +11,8 @@ The per-token score halves ``s_dst`` and ``s_src`` are (B, heads, n)
 vectors; ``T.graph_attention`` builds their pairwise sums, the leaky ReLU,
 the masked softmax, the attention dropout and the product with W h as one
 node, which keeps the unnormalised weights and their row sums, the dropout
-mask and the logit signs.
+mask and the logit signs. It returns (B, n, heads·d_head), the heads side by
+side, so the ELU, the dropout and the projection take its output as it is.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class GatParams:
     @property
     def n_heads(self) -> int:
         return self.W.shape[0]
-
-    @property
-    def d_head(self) -> int:
-        return self.W.shape[2]
 
     @staticmethod
     def init(rng: RngState, d: int, hidden: int, heads: int) -> "GatParams":
@@ -78,10 +75,8 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
     s_src = T.sum_(Wh * params.a_src.reshape(1, h, 1, -1), axis=-1)
 
     keep = None if drop is None else drop.keep((B, h, n, n))
-    mixed = T.graph_attention(s_dst, s_src, Wh, mask, keep)
-    mixed = T.transpose(mixed, (0, 2, 1, 3))                         # (B, n, h, dh)
-    feats = T.elu(mixed).reshape(B, n, h * params.d_head)
-    feats = apply_dropout(feats, drop)
+    mixed = T.graph_attention(s_dst, s_src, Wh, mask, keep)          # (B, n, h·dh)
+    feats = apply_dropout(T.elu(mixed), drop)
     return params.proj(feats) * mask[..., None]
 
 

@@ -14,9 +14,9 @@ them again.
 
 A block holds parameters only; what is fixed model-wide stays in
 ``graphfuse.tensor`` (the layer-norm epsilon). Every attention call is
-masked, so ``multi_head_attention`` requires its (B, n_k) key mask; it
-projects and splits the heads and hands the map work to the one-node
-``T.attention``.
+masked, so an ``Attention`` block requires its (B, n_k) key mask; it
+projects to (B, n, d) and hands the head split, the 1/√dh scale and the
+map work to the one-node ``T.attention``.
 
 Dropout has one owner: ``TokenClassifier.forward`` builds one
 :class:`Dropout` per training pass from ``ModelConfig.dropout``, and passes
@@ -115,7 +115,10 @@ class LayerNorm:
 
 @dataclass
 class Attention:
-    """Q/K/V/O projections for one multi-head attention block."""
+    """One multi-head attention block: the Q/K/V projections, ``T.attention``
+    over their heads, and the output projection O. ``key_mask`` is the
+    (B, n_k) prefix key mask (True = real key); masked keys receive exactly
+    zero weight."""
 
     q: Linear
     k: Linear
@@ -129,34 +132,10 @@ class Attention:
                          Linear.init(rng, d, d), Linear.init(rng, d, d),
                          n_heads)
 
-
-def multi_head_attention(params: Attention, query: Tensor, key: Tensor,
-                         value: Tensor, key_mask: np.ndarray) -> Tensor:
-    """Scaled dot-product attention with key-side padding masking.
-
-    ``key_mask`` is the (B, n_k) boolean attention mask (True = real token)
-    and must be a prefix mask, each row's real tokens before its pads, as
-    ``make_batches`` builds it; ``T.attention`` raises ContractError
-    otherwise. Masked keys receive exactly zero weight, so every row still
-    sums to 1 over the unmasked keys. q is scaled by 1/√dh before
-    ``T.attention``, which keeps the (B, H, n_q, n_k) unnormalised weights
-    as its only map-sized buffer.
-    """
-    B, n_q, d = query.shape
-    n_k = key.shape[1]
-    h = params.n_heads
-    dh = d // h
-
-    def split(x: Tensor, n: int, axes: tuple[int, ...]) -> Tensor:
-        return T.transpose(x.reshape(B, n, h, dh), axes)
-
-    # scaling q, not the scores, costs n·dh products instead of n²
-    q = split(params.q(query), n_q, (0, 2, 1, 3)) * (1.0 / math.sqrt(dh))
-    k_t = split(params.k(key), n_k, (0, 2, 3, 1))   # (B, h, dh, n_k)
-    v = split(params.v(value), n_k, (0, 2, 1, 3))   # (B, h, n_k, dh)
-    mixed = T.attention(q, k_t, v, key_mask)  # (B, h, n_q, dh)
-    mixed = T.transpose(mixed, (0, 2, 1, 3)).reshape(B, n_q, d)
-    return params.o(mixed)
+    def __call__(self, query: Tensor, key: Tensor, value: Tensor,
+                 key_mask: np.ndarray) -> Tensor:
+        return self.o(T.attention(self.q(query), self.k(key), self.v(value),
+                                  key_mask, self.n_heads))
 
 
 @dataclass

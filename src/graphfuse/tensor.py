@@ -26,8 +26,6 @@ Design notes
   folds the leading axes of x into one product, so it differs from a
   separate matmul's batched product and sum by rounding only; the input and
   bias gradients are bitwise those of matmul and add.
-* ``transpose(x, axes)`` is the one axis-permuting op; attention lays its
-  keys out as (B, h, dh, n_k) with a single call.
 * ``no_grad()`` suppresses graph construction (evaluation paths).
 * Fused primitives (linear, layer_norm, the two attention ops,
   masked_cross_entropy) carry closed-form backwards instead of being
@@ -43,15 +41,16 @@ Design notes
   is exactly 1, so Z >= 1. The outputs differ from the composed masked
   softmax (``tests/oracles.py``) by rounding only, within 1e-15 of their
   largest magnitude.
-* ``attention(q, k_t, v, key_mask)`` is ``softmax(q @ k_t) @ v`` with pad
-  keys at ``MASK_NEG`` (the constant's one owner). The key mask must be a
-  prefix mask, as every batch is: each sample's pad columns are one
-  trailing slice, set to ``MASK_NEG`` in place of a broadcast bias add.
-  That is bitwise the bias add, since fl(s + MASK_NEG) = MASK_NEG for
-  |s| < 7e13. ``multi_head_attention`` scales q by 1/√dh rather than the
-  scores: that is n·dh products instead of n², and bitwise equal to
-  scaling the scores when 1/√dh is a power of two (dh = 4, 16, 64); at
-  dh = 32 the two differ by rounding.
+* The heads are private to the two attention ops: both return (B, n, h·dh),
+  the heads side by side, so no model code permutes axes.
+* ``attention(q, k, v, key_mask, n_heads)`` is multi-head
+  ``softmax(q @ kᵀ / √dh) @ v`` with pad keys at ``MASK_NEG`` (the
+  constant's one owner). It takes the (B, n, d) projections and splits the
+  heads with reshape and transpose views; its gradients go back through
+  the same views. The key mask must be a prefix mask, as every batch is:
+  each sample's pad columns are one trailing slice, set to ``MASK_NEG`` in
+  place of a broadcast bias add. That is bitwise the bias add, since
+  fl(s + MASK_NEG) = MASK_NEG for |s| < 7e13.
 * ``graph_attention(s_dst, s_src, wh, key_mask, keep)`` is the GAT's
   ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. Pads get
   ``MASK_NEG`` as their (B, h, n) source score, so no pad pass over the map
@@ -59,12 +58,14 @@ Design notes
   on vectors: x -> fl(s_dst_i + x) and the leaky ReLU are monotone, so this
   is exactly the max over the map's row. With dropout, Z is one product
   ``E @ 1`` and the output is ``((E∘keep) @ wh) / Z``. Besides E and Z it
-  keeps the dropout mask and a bool map of negative logits.
+  keeps the dropout mask and a bool map of negative logits. Its inputs stay
+  head-major, as the GAT's per-head ``W`` (h, d, dh) produces them.
 * No map pass runs a masked ufunc (numpy's ``where`` keyword) or a scalar
   ``np.where``: both run slow per-element loops. The leaky ReLU is ``max(y, slope·y)``
   and its gradient factor is the map ``neg·slope + ~neg``, exactly 1.0 or
-  ``LEAKY_RELU_SLOPE``; ReLU is ``max(x, 0)``. Each gives the same bytes as
-  the select it replaces, ±0.0 and subnormals included.
+  ``LEAKY_RELU_SLOPE``; ReLU is ``max(x, 0)`` and its backward reads
+  ``out > 0``, which is exactly ``x > 0``. Each gives the same bytes as the
+  select it replaces, ±0.0 and subnormals included.
 * Both backwards use rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention): the
   softmax backward's row term is a dot product over dh, not a map product
   reduced over n_k. It holds with dropout, because O is the output after
@@ -282,14 +283,6 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), lambda g: (g.reshape(a.data.shape),))
 
 
-def transpose(a, axes) -> Tensor:
-    a = _ensure_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    out = a.data.transpose(axes)
-    return _make(out, (a,), lambda g: (g.transpose(inv),))
-
-
 # -- reductions ---------------------------------------------------------------
 
 def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -308,8 +301,9 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _ensure_tensor(x)
-    pos = x.data > 0
-    return _make(np.maximum(x.data, 0.0), (x,), lambda g: (g * pos,))
+    out = np.maximum(x.data, 0.0)
+    # out > 0 is exactly x > 0, NaN included, so no mask is kept
+    return _make(out, (x,), lambda g: (g * (out > 0),))
 
 
 def elu(x) -> Tensor:
@@ -373,54 +367,73 @@ def _normalised_product(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nd
     return num[..., :d] / z, z
 
 
-def attention(q, k_t, v, key_mask: np.ndarray) -> Tensor:
-    """``softmax(q @ k_t + key bias) @ v`` over the last axis, as one node.
+def attention(q, k, v, key_mask: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head ``softmax(q @ kᵀ / √dh + key bias) @ v``, as one node.
 
-    ``q`` is (B, h, n_q, dh), ``k_t`` (B, h, dh, n_k) and ``v`` (B, h, n_k,
-    dv); the caller has already scaled ``q``. ``key_mask`` is the (B, n_k)
-    boolean key mask (True = real key) and must be a prefix mask: each row
-    is its real keys, then its pads, as ``make_batches`` builds it;
-    anything else raises ContractError. Pad scores are set to MASK_NEG, so
-    pads receive exactly zero weight. The node keeps the (B, h, n_q, n_k)
-    unnormalised weights and their (B, h, n_q, 1) row sums, and nothing else
-    map-sized.
+    ``q`` is the (B, n_q, d) query projection, ``k`` and ``v`` the (B, n_k,
+    d) key and value projections; each splits into ``n_heads`` heads of
+    width dh = d / n_heads, and the result is (B, n_q, d) with the heads
+    side by side. ``key_mask`` is the (B, n_k) boolean key mask (True = real
+    key) and must be a prefix mask: each row is its real keys, then its
+    pads, as ``make_batches`` builds it; anything else raises ContractError.
+    Pad scores are set to MASK_NEG, so pads receive exactly zero weight. q is
+    scaled by 1/√dh rather than the scores: that is n·dh products instead of
+    n², and bitwise equal to scaling the scores when 1/√dh is a power of two
+    (dh = 4, 16, 64); at dh = 32 the two differ by rounding. The node keeps
+    the (B, h, n_q, n_k) unnormalised weights and their (B, h, n_q, 1) row
+    sums, and nothing else map-sized.
     """
-    q, k_t, v = _ensure_tensor(q), _ensure_tensor(k_t), _ensure_tensor(v)
-    B, n_k = k_t.data.shape[0], k_t.data.shape[-1]
-    if q.data.ndim != 4 or k_t.data.ndim != 4 or v.data.ndim != 4 or \
-            q.data.shape[-1] != k_t.data.shape[-2] or \
-            v.data.shape[-2] != n_k or key_mask.shape != (B, n_k):
+    q, k, v = _ensure_tensor(q), _ensure_tensor(k), _ensure_tensor(v)
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape or \
+            k.data.shape[::2] != q.data.shape[::2] or \
+            q.data.shape[2] % n_heads or key_mask.shape != k.data.shape[:2]:
         raise ShapeMismatchError(
-            f"attention needs q (B, h, n_q, dh), k_t (B, h, dh, n_k), "
-            f"v (B, h, n_k, dv) and key_mask (B, n_k), got {q.data.shape}, "
-            f"{k_t.data.shape}, {v.data.shape} and {key_mask.shape}")
+            f"attention needs q (B, n_q, d), k and v (B, n_k, d) with d a "
+            f"multiple of {n_heads} heads, and key_mask (B, n_k), got "
+            f"{q.data.shape}, {k.data.shape}, {v.data.shape} and {key_mask.shape}")
+    (B, n_q, d), n_k = q.data.shape, k.data.shape[1]
+    dh = d // n_heads
     lengths = key_mask.sum(axis=1)
     if not (key_mask == (np.arange(n_k) < lengths[:, None])).all():
         raise ContractError("attention needs a prefix key mask: in each row, "
                             "the real keys (True) come before the pads")
-    e = np.matmul(q.data, k_t.data)
+
+    def split(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        """A head-major view of the (B, n, d) array ``a``."""
+        return a.reshape(B, -1, n_heads, dh).transpose(axes)
+
+    def merge(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        """The (B, n, d) array of the head-major ``a``; ``axes`` undoes a split."""
+        return a.transpose(axes).reshape(B, -1, d)
+
+    scale = 1.0 / np.sqrt(dh)
+    qh = split(q.data, (0, 2, 1, 3)) * scale    # (B, h, n_q, dh)
+    kh_t = split(k.data, (0, 2, 3, 1))          # (B, h, dh, n_k)
+    vh = split(v.data, (0, 2, 1, 3))            # (B, h, n_k, dh)
+    e = np.matmul(qh, kh_t)
     for b in np.flatnonzero(lengths < n_k):
         e[b, ..., lengths[b]:] = MASK_NEG
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    out, z = _normalised_product(e, v.data)
+    out, z = _normalised_product(e, vh)
     if (maps := _attention_maps.get()) is not None:
         maps.append(e / z)
-    need_q, need_k, need_v = q.requires_grad, k_t.requires_grad, v.requires_grad
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def bw(g):
         # the weights are e / z: folding 1/z into g leaves e as the map factor.
         # rowsum(gy∘y) = rowsum(g∘out): the softmax backward needs no map
         # product and no row reduction over n_k
-        gz = g / z
-        gs = np.matmul(gz, _matrix_t(v.data))
+        gz = split(g, (0, 2, 1, 3)) / z
+        gs = np.matmul(gz, _matrix_t(vh))
         gs -= (gz * out).sum(axis=-1, keepdims=True)
         gs *= e
-        return (np.matmul(gs, _matrix_t(k_t.data)) if need_q else None,
-                np.matmul(_matrix_t(q.data), gs) if need_k else None,
-                np.matmul(_matrix_t(e), gz) if need_v else None)
+        return (merge(np.matmul(gs, _matrix_t(kh_t)) * scale, (0, 2, 1, 3))
+                if need_q else None,
+                merge(np.matmul(_matrix_t(qh), gs), (0, 3, 1, 2)) if need_k else None,
+                merge(np.matmul(_matrix_t(e), gz), (0, 2, 1, 3)) if need_v else None)
 
-    return _make(out, (q, k_t, v), bw)
+    return _make(merge(out, (0, 2, 1, 3)), (q, k, v), bw)
 
 
 def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
@@ -431,8 +444,8 @@ def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
     n, dh) projected features and ``key_mask`` the (B, n) key mask. Pads get
     MASK_NEG as their source score, so they receive exactly zero weight.
     ``keep`` is the (B, h, n, n) inverted-dropout mask, or None in eval mode.
-    The node keeps the unnormalised weights and their row sums, ``keep`` and
-    the logit signs.
+    The result is (B, n, h·dh), the heads side by side. The node keeps the
+    unnormalised weights and their row sums, ``keep`` and the logit signs.
     """
     s_dst, s_src, wh = _ensure_tensor(s_dst), _ensure_tensor(s_src), _ensure_tensor(wh)
     B, h, n = s_src.data.shape
@@ -464,7 +477,7 @@ def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
     need_dst, need_src, need_wh = s_dst.requires_grad, s_src.requires_grad, wh.requires_grad
 
     def bw(g):
-        gz = g / z
+        gz = g.reshape(B, n, h, -1).transpose(0, 2, 1, 3) / z
         dwh = None
         if need_wh:
             dwh = np.matmul(_matrix_t(e if keep is None else e * keep), gz)
@@ -483,7 +496,8 @@ def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
                 gs.sum(axis=-2) if need_src else None,
                 dwh)
 
-    return _make(out, (s_dst, s_src, wh), bw)
+    return _make(out.transpose(0, 2, 1, 3).reshape(B, n, -1),
+                 (s_dst, s_src, wh), bw)
 
 
 # -- gather / scatter ---------------------------------------------------------

@@ -285,18 +285,24 @@ class TestForwardBackward:
             TokenClassifier(cfg, model.token_vocab, model.label_vocab, RngState(0))
 
 
+def graph_nodes(loss):
+    """Every tensor in the graph behind ``loss``, leaves included, once each."""
+    nodes: dict[int, Tensor] = {}
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return list(nodes.values())
+
+
 def buffers_of_shape(loss, shape):
     """The dtype of each buffer that the graph behind ``loss`` keeps alive
     and sees with ``shape``: through a node's ``.data`` or an array in its
     backward closure's cells. Views count with the buffer they look into."""
     dtypes: dict[int, np.dtype] = {}
-    seen: set[int] = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for node in graph_nodes(loss):
         cells = (node._backward_fn.__closure__ or ()) if node._backward_fn else ()
         for value in [node.data, *(cell.cell_contents for cell in cells)]:
             if isinstance(value, np.ndarray) and value.shape == shape:
@@ -304,7 +310,6 @@ def buffers_of_shape(loss, shape):
                 while root.base is not None:
                     root = root.base
                 dtypes[id(root)] = value.dtype
-        stack.extend(node._parents)
     return list(dtypes.values())
 
 
@@ -319,6 +324,28 @@ def test_training_graph_keeps_four_attention_maps():
     maps = buffers_of_shape(loss, (B, 8, n, n))
     assert maps.count(np.float64) <= 4
     assert maps.count(np.bool_) == 1  # the GAT's logit signs
+
+
+def op_name(node):
+    """The op that recorded ``node``, from its backward closure's name, or
+    None for a leaf."""
+    fn = node._backward_fn
+    return None if fn is None else fn.__qualname__.split(".")[0]
+
+
+def test_attention_heads_are_private_to_the_attention_ops():
+    """Each attention takes its q, k and v straight from their projections:
+    the head split lives inside ``T.attention``, so a relational-full
+    training pass records 42 nodes and none of them permutes heads."""
+    model, batches = build_world("full", seed=5, d_emb=32, d=32, gat_hidden=32,
+                                 gat_heads=8, dec_heads=8)
+    loss = model.loss(batches[0], RngState(3), training=True)
+    recorded = [node for node in graph_nodes(loss) if op_name(node) is not None]
+    attention = [node for node in recorded if op_name(node) == "attention"]
+    assert len(attention) == 2
+    for node in attention:
+        assert [op_name(p) for p in node._parents] == ["linear"] * 3
+    assert len(recorded) == 42
 
 
 def test_dropout_rate_has_one_owner():

@@ -120,17 +120,39 @@ def at_keys(arr, axis, real=False):
     return np.moveaxis(arr, axis, 1)[mask]
 
 
+def heads(x, h=3):
+    """(B, n, h·dh) -> the head-major (B, h, n, dh) layout."""
+    B, n, d = x.shape
+    return x.reshape(B, n, h, d // h).transpose(0, 2, 1, 3)
+
+
+def merged(x):
+    """(B, h, n, dh) -> (B, n, h·dh), the heads side by side."""
+    B, h, n, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B, n, h * dh)
+
+
+def scores(q, k):
+    """Head-major attention scores, q scaled by 1/√dh as ``T.attention`` does."""
+    scaled = heads(q) * (1.0 / np.sqrt(q.shape[-1] // 3))
+    return scaled @ heads(k).transpose(0, 1, 3, 2)
+
+
+# the key axis of the second and third inputs of each fused op
+KEY_AXES = {"attention": (1, 1), "graph_attention": (-1, 2),
+            "graph_attention_keep": (-1, 2)}
+
+
 def fused_inputs(op, rng):
-    """The float inputs of one fused op: (q, k_t, v) or (s_dst, s_src, wh)."""
+    """The float inputs of one fused op: (q, k, v) or (s_dst, s_src, wh)."""
     if op == "attention":
-        return [rng.normal((2, 3, 4, 2)), rng.normal((2, 3, 2, 5)),
-                rng.normal((2, 3, 5, 2))]
+        return [rng.normal((2, 4, 6)), rng.normal((2, 5, 6)), rng.normal((2, 5, 6))]
     return [rng.normal((2, 3, 5)), rng.normal((2, 3, 5)), rng.normal((2, 3, 5, 2))]
 
 
 def fused_op(op, a, b, c):
     if op == "attention":
-        return T.attention(a, b, c, PAD_MASK)
+        return T.attention(a, b, c, PAD_MASK, 3)
     keep = KEEP if op == "graph_attention_keep" else None
     return T.graph_attention(a, b, c, PAD_MASK, keep)
 
@@ -138,8 +160,13 @@ def fused_op(op, a, b, c):
 def oracle_weights(op, a, b):
     """The op's weights by the unfused composition, its forward reference."""
     if op == "attention":
-        return masked_softmax(a @ b, PAD_MASK)
+        return masked_softmax(scores(a, b), PAD_MASK)
     return masked_softmax(leaky_relu(a[..., None] + b[..., None, :]), PAD_MASK)
+
+
+def values(op, c):
+    """The op's head-major values."""
+    return heads(c) if op == "attention" else c
 
 
 class TestSoftmax:
@@ -150,10 +177,9 @@ class TestSoftmax:
         out = masked_softmax(np.array([[0.0, 0.0, 0.0]]), all_keys((1, 3)))
         np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
         # q = 0 gives every real key the same weight
-        v = RngState(1).normal((2, 3, 5, 2))
+        v = RngState(1).normal((2, 5, 6))
         with attention_maps() as weights:
-            T.attention(np.zeros((2, 3, 4, 2)), np.ones((2, 3, 2, 5)), v,
-                        PAD_MASK)
+            T.attention(np.zeros((2, 4, 6)), np.ones((2, 5, 6)), v, PAD_MASK, 3)
         np.testing.assert_allclose(weights[0][0, ..., :3], 1 / 3, atol=1e-15)
         assert (weights[0][1, ..., 0] == 1.0).all()
 
@@ -171,48 +197,55 @@ class TestSoftmax:
 
     def test_rows_sum_to_one(self):
         rng = RngState(2)
-        q, k_t, v = fused_inputs("attention", rng)
+        q, k, v = fused_inputs("attention", rng)
         with attention_maps() as weights:
-            T.attention(q * 30.0, k_t, v, all_keys((2, 5)))
+            T.attention(q * 30.0, k, v, all_keys((2, 5)), 3)
         np.testing.assert_allclose(weights[0].sum(axis=-1), 1.0, atol=1e-9)
         assert (weights[0] > 0).all()
 
     def test_grad_matches_finite_differences(self):
         rng = RngState(3)
         arrays = fused_inputs("attention", rng)
-        w = rng.normal((2, 3, 4, 2))  # fixed projection so the loss is non-trivial
-        q, k_t, v = (Tensor(a, requires_grad=True) for a in arrays)
+        w = rng.normal((2, 4, 6))  # fixed projection so the loss is non-trivial
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         mask = all_keys((2, 5))
 
-        (T.attention(q, k_t, v, mask) * w).sum().backward()
+        (T.attention(q, k, v, mask, 3) * w).sum().backward()
 
         def ref():
-            return float((T.attention(*arrays, mask).data * w).sum())
+            return float((T.attention(*arrays, mask, 3).data * w).sum())
 
         fd = finite_difference(ref, arrays)
-        for t, want in zip((q, k_t, v), fd):
+        for t, want in zip((q, k, v), fd):
             assert max_rel_err(t.grad, want) < 1e-6
 
     def test_key_mask_bitwise_equals_added_bias(self):
         rng = RngState(16)
-        q, k_t, v = fused_inputs("attention", rng)
+        q, k, v = fused_inputs("attention", rng)
         q *= 3.0
         bias = np.where(PAD_MASK, 0.0, T.MASK_NEG)[:, None, None, :]
         with attention_maps() as weights:
-            out = T.attention(q, k_t, v, PAD_MASK)
-        want = masked_softmax(q @ k_t + bias, all_keys((2, 5)))
-        assert masked_softmax(q @ k_t, PAD_MASK).tobytes() == want.tobytes()
+            out = T.attention(q, k, v, PAD_MASK, 3)
+        want = masked_softmax(scores(q, k) + bias, all_keys((2, 5)))
+        assert masked_softmax(scores(q, k), PAD_MASK).tobytes() == want.tobytes()
         assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
-        assert np.abs(out.data - want @ v).max() <= 1e-15 * np.abs(want @ v).max()
+        mixed = merged(want @ heads(v))
+        assert np.abs(out.data - mixed).max() <= 1e-15 * np.abs(mixed).max()
         assert (weights[0][1, :, :, 1:] == 0.0).all()
         assert (weights[0][1, :, :, 0] == 1.0).all()
 
     def test_key_mask_shape_checked(self):
-        q, k_t, v = fused_inputs("attention", RngState(0))
+        q, k, v = fused_inputs("attention", RngState(0))
         with pytest.raises(ShapeMismatchError):
-            T.attention(q, k_t, v, np.ones((2, 4), bool))
+            T.attention(q, k, v, np.ones((2, 4), bool), 3)
         with pytest.raises(ShapeMismatchError):
-            T.attention(q[0], k_t[0], v[0], np.ones((3, 5), bool))
+            T.attention(q[0], k[0], v[0], np.ones((3, 5), bool), 3)
+        with pytest.raises(ShapeMismatchError, match="multiple of 4 heads"):
+            T.attention(q, k, v, PAD_MASK, 4)
+        with pytest.raises(ShapeMismatchError):
+            T.attention(q, k, v[:, :4], PAD_MASK, 3)
+        with pytest.raises(ShapeMismatchError):
+            T.attention(q, k, v, PAD_MASK[:, :4], 3)
         s_dst, s_src, wh = fused_inputs("graph_attention", RngState(0))
         with pytest.raises(ShapeMismatchError):
             T.graph_attention(s_dst, s_src, wh, np.ones((2, 4), bool), None)
@@ -223,13 +256,12 @@ class TestSoftmax:
                                      [False, False, True]])
     def test_key_mask_must_be_a_prefix_mask(self, row):
         rng = RngState(0)
-        q, k_t, v = (rng.normal(s) for s in ((1, 2, 4, 2), (1, 2, 2, 3),
-                                                (1, 2, 3, 2)))
+        q, k, v = (rng.normal(s) for s in ((1, 4, 4), (1, 3, 4), (1, 3, 4)))
         with pytest.raises(ContractError, match="prefix"):
-            T.attention(q, k_t, v, np.array([row]))
+            T.attention(q, k, v, np.array([row]), 2)
         # the prefix masks of the same width pass
         for n in range(4):
-            T.attention(q, k_t, v, np.array([[True] * n + [False] * (3 - n)]))
+            T.attention(q, k, v, np.array([[True] * n + [False] * (3 - n)]), 2)
 
 
 class TestFusedAttention:
@@ -241,14 +273,16 @@ class TestFusedAttention:
         want = oracle_weights(op, a, b)
         assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
         dropped = want * KEEP if op == "graph_attention_keep" else want
-        assert np.abs(out.data - dropped @ c).max() <= 1e-15 * np.abs(dropped @ c).max()
+        mixed = merged(dropped @ values(op, c))
+        assert np.abs(out.data - mixed).max() <= 1e-15 * np.abs(mixed).max()
 
     @pytest.mark.parametrize("op", FUSED_OPS)
     def test_pad_keys_get_exactly_zero_weight(self, op):
         a, b, c = fused_inputs(op, RngState(23))
         # large scores and values at pads must not leak into the output
-        np.moveaxis(b, -1, 1)[~PAD_MASK] = 1e6
-        np.moveaxis(c, 2, 1)[~PAD_MASK] = 1e6
+        b_axis, c_axis = KEY_AXES[op]
+        np.moveaxis(b, b_axis, 1)[~PAD_MASK] = 1e6
+        np.moveaxis(c, c_axis, 1)[~PAD_MASK] = 1e6
         with attention_maps() as weights:
             out = fused_op(op, a, b, c)
         assert (at_keys(weights[0], -1) == 0.0).all()
@@ -273,8 +307,9 @@ class TestFusedAttention:
         for t, want in zip(tensors, fd):
             assert max_rel_err(t.grad, want) < 1e-6
         # a pad key's score and value get exactly zero gradient
-        assert (at_keys(tensors[1].grad, -1) == 0.0).all()
-        assert (at_keys(tensors[2].grad, 2) == 0.0).all()
+        b_axis, c_axis = KEY_AXES[op]
+        assert (at_keys(tensors[1].grad, b_axis) == 0.0).all()
+        assert (at_keys(tensors[2].grad, c_axis) == 0.0).all()
 
 
 class TestPointwise:
@@ -336,7 +371,11 @@ class TestPointwise:
     def test_relu_and_elu_factor_bitwise_equal_where(self):
         x = np.array([-0.0, 0.0, -5e-324, 5e-324, -1e-300, 1e-300,
                       -1e308, 1e308, -2.5, 0.75])
-        assert T.relu(Tensor(x)).data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        r = Tensor(x, requires_grad=True)
+        out = T.relu(r)
+        assert out.data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        out.sum().backward()
+        assert r.grad.tobytes() == ((x > 0) * 1.0).tobytes()
         t = Tensor(x, requires_grad=True)
         out = T.elu(t)
         out.sum().backward()
@@ -355,7 +394,7 @@ class TestPointwise:
         with attention_maps() as weights:
             out = T.graph_attention(s_dst, s_src, wh, np.ones((1, 3), bool),
                                     None)
-        (out * g).sum().backward()
+        (out * merged(g)).sum().backward()
         y = weights[0]
         gy = g @ wh.transpose(0, 1, 3, 2)
         d_logits = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
@@ -554,15 +593,13 @@ class TestBackwardEngine:
         assert a.grad.shape == (4, 5)
         assert b.grad.shape == (5,)
 
-    def test_sum_and_reshape_and_transpose_grads(self):
+    def test_sum_and_reshape_grads(self):
         rng = RngState(10)
         x = Tensor(rng.normal((2, 3, 4)), requires_grad=True)
         w = rng.normal((4, 6))
-        loss = (T.transpose(x, (1, 0, 2)).reshape(6, 4) @ Tensor(w)).sum()
+        loss = (x.reshape(6, 4) @ Tensor(w)).sum()
         loss.backward()
-        fd = finite_difference(
-            lambda: (x.data.transpose(1, 0, 2).reshape(6, 4) @ w).sum(),
-            [x.data])
+        fd = finite_difference(lambda: (x.data.reshape(6, 4) @ w).sum(), [x.data])
         assert max_rel_err(x.grad, fd[0]) < 1e-6
 
     def test_only_leaves_get_grad_buffers(self):
@@ -589,14 +626,15 @@ class TestBackwardEngine:
         # before z (the op's own input) has read its pending share. The
         # softmax and leaky-ReLU backwards run inside the fused attention ops.
         rng = RngState(17)
-        x = Tensor(rng.normal((2, 3, 5, 2)), requires_grad=True)
-        w = rng.normal((2, 3, 5, 2))
+        x = Tensor(rng.normal((2, 5, 6)), requires_grad=True)
+        w = rng.normal((2, 5, 6))
         c = rng.normal((2,))
 
         def attend(z, mask):
-            return T.attention(z, T.transpose(z, (0, 1, 3, 2)), z, mask)
+            return T.attention(z, z, z, mask, 3)
 
         def graph(z, keep):
+            z = z.reshape(2, 3, 5, 2)
             return T.graph_attention(T.sum_(z, axis=-1), T.sum_(z * c, axis=-1),
                                      z, PAD_MASK, keep)
 
