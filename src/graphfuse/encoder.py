@@ -69,13 +69,13 @@ def encode(batch: Batch, params: EncoderParams, drop: Dropout | None) -> Tensor:
     Padded positions flow through position-wise ops but are excluded from
     attention via the key mask, so they never influence real tokens.
     """
-    B, n = batch.token_ids.shape
+    n = batch.token_ids.shape[1]
     if n > params.positional.shape[0]:
         raise ContractError(
             f"sequence length {n} exceeds positional table "
             f"{params.positional.shape[0]}")
 
-    x = T.gather_rows(params.embedding, batch.token_ids.reshape(-1)).reshape(B, n, -1)
+    x = T.gather_rows(params.embedding, batch.token_ids)
     x = x + Tensor(params.positional[:n])
     x = apply_dropout(x, drop)
     for block in params.blocks:

@@ -7,12 +7,12 @@ its sentence and the layer is dense attention with a key-padding mask (the
 ``bias_mat`` form of the original GAT code). Heads are concatenated and
 projected back to d.
 
-The per-token score halves ``s_dst`` and ``s_src`` are (B, heads, n)
-vectors; ``T.graph_attention`` builds their pairwise sums, the leaky ReLU,
-the masked softmax, the attention dropout and the product with W h as one
-node, which keeps the unnormalised weights and their row sums, the dropout
-mask and the logit signs. It returns (B, n, heads·d_head), the heads side by
-side, so the ELU, the dropout and the projection take its output as it is.
+``T.graph_attention`` takes the (B, n, d) features, ``W`` and the two
+score vectors: it projects each head, forms the score halves and their
+pairwise sums, the leaky ReLU, the masked softmax, the attention dropout and
+the product with W h as one node. It returns (B, n, heads·d_head), the heads
+side by side, so the ELU, the dropout and the projection take its output as
+it is and no code here sees a head-major layout.
 """
 
 from __future__ import annotations
@@ -64,18 +64,11 @@ def gat_forward(H: Tensor, mask: np.ndarray, params: GatParams,
     attention weights, drawn before ``T.graph_attention`` runs and before
     the head outputs' mask, the composed layer's order of draws.
     """
-    B, n, d = H.shape
+    B, n, _ = H.shape
     if mask.shape != (B, n):
         raise ContractError(f"mask {mask.shape} does not match features {H.shape}")
-    h = params.n_heads
-
-    # per-token projections and score halves, laid out (B, heads, n, ...)
-    Wh = T.matmul(H.reshape(B, 1, n, d), params.W)                   # (B, h, n, dh)
-    s_dst = T.sum_(Wh * params.a_dst.reshape(1, h, 1, -1), axis=-1)  # (B, h, n)
-    s_src = T.sum_(Wh * params.a_src.reshape(1, h, 1, -1), axis=-1)
-
-    keep = None if drop is None else drop.keep((B, h, n, n))
-    mixed = T.graph_attention(s_dst, s_src, Wh, mask, keep)          # (B, n, h·dh)
+    keep = None if drop is None else drop.keep((B, params.n_heads, n, n))
+    mixed = T.graph_attention(H, params.W, params.a_dst, params.a_src, mask, keep)
     feats = apply_dropout(T.elu(mixed), drop)
     return params.proj(feats) * mask[..., None]
 

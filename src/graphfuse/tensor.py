@@ -24,8 +24,8 @@ Design notes
   ``LEAKY_RELU_SLOPE``, ELU's alpha 1).
 * ``linear(x, w, b)`` is one node for ``x @ w + b``. Its weight gradient
   folds the leading axes of x into one product, so it differs from a
-  separate matmul's batched product and sum by rounding only; the input and
-  bias gradients are bitwise those of matmul and add.
+  batched ``np.matmul`` summed over the batch by rounding only; the input
+  and bias gradients are bitwise those of ``np.matmul`` and a broadcast add.
 * ``no_grad()`` suppresses graph construction (evaluation paths).
 * Fused primitives (linear, layer_norm, the two attention ops,
   masked_cross_entropy) carry closed-form backwards instead of being
@@ -51,15 +51,17 @@ Design notes
   each sample's pad columns are one trailing slice, set to ``MASK_NEG`` in
   place of a broadcast bias add. That is bitwise the bias add, since
   fl(s + MASK_NEG) = MASK_NEG for |s| < 7e13.
-* ``graph_attention(s_dst, s_src, wh, key_mask, keep)`` is the GAT's
-  ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. Pads get
-  ``MASK_NEG`` as their (B, h, n) source score, so no pad pass over the map
-  is needed. Its row max is ``leaky_relu(s_dst_i + max_j s_src_j)``, taken
-  on vectors: x -> fl(s_dst_i + x) and the leaky ReLU are monotone, so this
-  is exactly the max over the map's row. With dropout, Z is one product
-  ``E @ 1`` and the output is ``((E∘keep) @ wh) / Z``. Besides E and Z it
-  keeps the dropout mask and a bool map of negative logits. Its inputs stay
-  head-major, as the GAT's per-head ``W`` (h, d, dh) produces them.
+* ``graph_attention(h, w, a_dst, a_src, key_mask, keep)`` is the GAT's
+  ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. It takes the
+  (B, n, d) features and forms the head-major ``wh = h @ w``, with ``w``
+  (heads, d, dh), and the score halves ``s = wh · a`` itself. Pads get
+  ``MASK_NEG`` as their source score, so no pad pass over the map is needed.
+  Its row max is ``leaky_relu(s_dst_i + max_j s_src_j)``, taken on vectors:
+  x -> fl(s_dst_i + x) and the leaky ReLU are monotone, so this is exactly
+  the max over the map's row. With dropout, Z is one product ``E @ 1`` and
+  the output is ``((E∘keep) @ wh) / Z``. Besides E and Z it keeps the
+  dropout mask; the backward rebuilds the signs of the logits from the
+  score vectors.
 * No map pass runs a masked ufunc (numpy's ``where`` keyword) or a scalar
   ``np.where``: both run slow per-element loops. The leaky ReLU is ``max(y, slope·y)``
   and its gradient factor is the map ``neg·slope + ~neg``, exactly 1.0 or
@@ -137,23 +139,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
 
     def backward(self) -> None:
         backward(self)
@@ -217,35 +204,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product; batch dims broadcast like np.matmul."""
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeMismatchError(
-            f"matmul needs rank >= 2 operands, got {a.data.shape} and {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeMismatchError(
-            f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeMismatchError(
-            f"matmul batch dims do not broadcast: {a.data.shape} x {b.data.shape}"
-        ) from exc
-
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        ga = gb = None
-        if need_a:
-            ga = _unbroadcast(np.matmul(g, _matrix_t(b.data)), a.data.shape)
-        if need_b:
-            gb = _unbroadcast(np.matmul(_matrix_t(a.data), g), b.data.shape)
-        return ga, gb
-
-    return _make(out, (a, b), bw)
-
-
 def linear(x, w, b) -> Tensor:
     """``x @ w + b`` over the last axis of ``x``, as one node.
 
@@ -267,34 +225,12 @@ def linear(x, w, b) -> Tensor:
 
     def bw(g):
         # gx and gb keep g's leading axes, so they are bitwise the batched
-        # product and the reduction of a separate matmul and add
+        # product and the reduction of a separate np.matmul and add
         return (np.matmul(g, w.data.T) if need_x else None,
                 x2.T @ g.reshape(-1, d_out) if need_w else None,
                 _unbroadcast(g, b.data.shape) if need_b else None)
 
     return _make(out.reshape(*x.data.shape[:-1], d_out), (x, w, b), bw)
-
-
-# -- shape ops ----------------------------------------------------------------
-
-def reshape(a, shape) -> Tensor:
-    a = _ensure_tensor(a)
-    out = a.data.reshape(shape)
-    return _make(out, (a,), lambda g: (g.reshape(a.data.shape),))
-
-
-# -- reductions ---------------------------------------------------------------
-
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _ensure_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _make(out, (a,), bw)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -436,68 +372,90 @@ def attention(q, k, v, key_mask: np.ndarray, n_heads: int) -> Tensor:
     return _make(merge(out, (0, 2, 1, 3)), (q, k, v), bw)
 
 
-def graph_attention(s_dst, s_src, wh, key_mask: np.ndarray,
+def graph_attention(h, w, a_dst, a_src, key_mask: np.ndarray,
                     keep: np.ndarray | None) -> Tensor:
-    """GAT attention ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``.
+    """GAT attention ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ Wh``.
 
-    ``s_dst`` and ``s_src`` are the (B, h, n) score halves, ``wh`` the (B, h,
-    n, dh) projected features and ``key_mask`` the (B, n) key mask. Pads get
-    MASK_NEG as their source score, so they receive exactly zero weight.
-    ``keep`` is the (B, h, n, n) inverted-dropout mask, or None in eval mode.
-    The result is (B, n, h·dh), the heads side by side. The node keeps the
-    unnormalised weights and their row sums, ``keep`` and the logit signs.
+    ``h`` is the (B, n, d) features, ``w`` the (heads, d, dh) per-head
+    projection and ``a_dst`` and ``a_src`` the (heads, dh) score vectors:
+    ``Wh`` is each head's projection of ``h`` and ``s_dst`` and ``s_src`` are
+    its dot products with ``a_dst`` and ``a_src``. ``key_mask`` is the (B, n)
+    key mask; pads get MASK_NEG as their source score, so they receive
+    exactly zero weight. ``keep`` is the (B, heads, n, n) inverted-dropout
+    mask, or None in eval mode. The result is (B, n, heads·dh), the heads
+    side by side. The node keeps the unnormalised weights, their row sums,
+    ``keep`` and the projected features.
     """
-    s_dst, s_src, wh = _ensure_tensor(s_dst), _ensure_tensor(s_src), _ensure_tensor(wh)
-    B, h, n = s_src.data.shape
-    if s_dst.data.shape != (B, h, n) or wh.data.shape[:3] != (B, h, n) or \
-            key_mask.shape != (B, n):
+    h, w = _ensure_tensor(h), _ensure_tensor(w)
+    a_dst, a_src = _ensure_tensor(a_dst), _ensure_tensor(a_src)
+    if h.data.ndim != 3 or w.data.ndim != 3 or w.data.shape[1] != h.data.shape[2] or \
+            a_dst.data.shape != w.data.shape[::2] or \
+            a_src.data.shape != w.data.shape[::2] or key_mask.shape != h.data.shape[:2]:
         raise ShapeMismatchError(
-            f"graph_attention needs s_dst and s_src (B, h, n), wh (B, h, n, dh) "
-            f"and key_mask (B, n), got {s_dst.data.shape}, {s_src.data.shape}, "
-            f"{wh.data.shape} and {key_mask.shape}")
+            f"graph_attention needs h (B, n, d), w (heads, d, dh), a_dst and "
+            f"a_src (heads, dh) and key_mask (B, n), got {h.data.shape}, "
+            f"{w.data.shape}, {a_dst.data.shape}, {a_src.data.shape} and "
+            f"{key_mask.shape}")
+    (B, n, d), (heads, _, dh) = h.data.shape, w.data.shape
+    h4 = h.data.reshape(B, 1, n, d)
+    wh = np.matmul(h4, w.data)                          # (B, heads, n, dh)
+    a_d = a_dst.data.reshape(1, heads, 1, dh)
+    a_s = a_src.data.reshape(1, heads, 1, dh)
+    s_dst = (wh * a_d).sum(-1)                          # (B, heads, n)
     slope = LEAKY_RELU_SLOPE
-    src = np.where(key_mask[:, None, :], s_src.data, MASK_NEG)
-    e = s_dst.data[..., None] + src[..., None, :]
-    neg = e < 0
+    src = np.where(key_mask[:, None, :], (wh * a_s).sum(-1), MASK_NEG)
+    e = s_dst[..., None] + src[..., None, :]
     np.maximum(e, e * slope, out=e)
     # the row max, exactly: x -> fl(s_dst_i + x) and the leaky ReLU are
     # monotone, so max_j of the logits is the logit of max_j src_j
-    top = s_dst.data + src.max(axis=-1, keepdims=True)
+    top = s_dst + src.max(axis=-1, keepdims=True)
     np.maximum(top, top * slope, out=top)
     e -= top[..., None]
     np.exp(e, out=e)
     if keep is None:
-        out, z = _normalised_product(e, wh.data)
+        out, z = _normalised_product(e, wh)
     else:
         z = np.matmul(e, np.ones(n))[..., None]
-        out = np.matmul(e * keep, wh.data)
+        out = np.matmul(e * keep, wh)
         out /= z
     if (maps := _attention_maps.get()) is not None:
         maps.append(e / z)
-    need_dst, need_src, need_wh = s_dst.requires_grad, s_src.requires_grad, wh.requires_grad
+    need_h, need_w = h.requires_grad, w.requires_grad
+    need_dst, need_src = a_dst.requires_grad, a_src.requires_grad
 
     def bw(g):
-        gz = g.reshape(B, n, h, -1).transpose(0, 2, 1, 3) / z
-        dwh = None
-        if need_wh:
-            dwh = np.matmul(_matrix_t(e if keep is None else e * keep), gz)
-        gs = np.matmul(gz, _matrix_t(wh.data))
+        gz = g.reshape(B, n, heads, -1).transpose(0, 2, 1, 3) / z
+        gs = np.matmul(gz, _matrix_t(wh))
         if keep is not None:
             gs *= keep
         # rowsum(gs∘y) = rowsum(g∘out), with or without dropout
         gs -= (gz * out).sum(axis=-1, keepdims=True)
         gs *= e
         # the leaky ReLU's factor: exactly the slope at a negative logit, 1.0
-        # elsewhere
+        # elsewhere. fl(s_dst_i + src_j) < 0 is exactly s_dst_i < -src_j: a
+        # float sum is zero only when it is exact, and rounding keeps its sign
+        neg = s_dst[..., None] < -src[..., None, :]
         f = neg * slope
         f += ~neg
         gs *= f
-        return (gs.sum(axis=-1) if need_dst else None,
-                gs.sum(axis=-2) if need_src else None,
-                dwh)
+        g_dst = gs.sum(axis=-1)[..., None]              # (B, heads, n, 1)
+        g_src = gs.sum(axis=-2)[..., None]
+        gwh = None
+        if need_h or need_w:
+            gwh = np.matmul(_matrix_t(e if keep is None else e * keep), gz)
+            gwh += g_dst * a_d
+            gwh += g_src * a_s
+        return (_unbroadcast(np.matmul(gwh, _matrix_t(w.data)), h4.shape)
+                .reshape(B, n, d) if need_h else None,
+                _unbroadcast(np.matmul(_matrix_t(h4), gwh), w.data.shape)
+                if need_w else None,
+                _unbroadcast(g_dst * wh, a_d.shape).reshape(heads, dh)
+                if need_dst else None,
+                _unbroadcast(g_src * wh, a_s.shape).reshape(heads, dh)
+                if need_src else None)
 
     return _make(out.transpose(0, 2, 1, 3).reshape(B, n, -1),
-                 (s_dst, s_src, wh), bw)
+                 (h, w, a_dst, a_src), bw)
 
 
 # -- gather / scatter ---------------------------------------------------------
@@ -517,11 +475,11 @@ def _scatter_add_rows(values: np.ndarray, rows: np.ndarray,
 
 
 def gather_rows(x, indices) -> Tensor:
-    """Select rows of ``x`` along axis 0; backward scatter-adds (repeats ok)."""
+    """Select rows of ``x`` along axis 0 by an index array of any shape (the
+    result is ``indices.shape + x.shape[1:]``); backward scatter-adds
+    (repeats ok)."""
     x = _ensure_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ContractError(f"gather_rows wants a 1-D index list, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise ContractError(
             f"gather_rows index out of range for {x.data.shape[0]} rows")
@@ -529,7 +487,8 @@ def gather_rows(x, indices) -> Tensor:
 
     def bw(g):
         cols = int(np.prod(x.data.shape[1:], dtype=np.int64)) if x.data.ndim > 1 else 1
-        flat = _scatter_add_rows(g.reshape(idx.size, cols), idx, x.data.shape[0])
+        flat = _scatter_add_rows(g.reshape(idx.size, cols), idx.reshape(-1),
+                                 x.data.shape[0])
         return (flat.reshape(x.data.shape),)
 
     return _make(out, (x,), bw)

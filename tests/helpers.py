@@ -24,6 +24,13 @@ def attention_maps():
         T._attention_maps.reset(token)
 
 
+def total(t):
+    """The scalar sum of the tensor ``t``, as a graph node: the loss of the
+    gradient tests. Its backward hands every entry the incoming gradient."""
+    return T._make(t.data.sum(), (t,),
+                   lambda g: (np.broadcast_to(g, t.data.shape).copy(),))
+
+
 def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,
               reserve_low_ids=2):
     """Random padded batch with the given true lengths."""

@@ -7,7 +7,7 @@ from graphfuse.layers import named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from helpers import attention_maps
+from helpers import attention_maps, total
 from oracles import finite_difference, max_rel_err
 
 
@@ -88,7 +88,7 @@ class TestDecodeRefine:
         w = RngState(13).normal((1, 4, 8))
 
         def loss_tensor():
-            return (decode_refine(x, mask, params, None) * w).sum()
+            return total(decode_refine(x, mask, params, None) * w)
 
         loss_tensor().backward()
         names = {"x": x, **named_parameters(params, "decoder")}

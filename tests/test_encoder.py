@@ -9,7 +9,7 @@ from graphfuse.errors import ContractError
 from graphfuse.layers import Dropout, named_parameters
 from graphfuse.rng import RngState
 
-from helpers import toy_batch
+from helpers import toy_batch, total
 from oracles import finite_difference, max_rel_err
 
 
@@ -93,7 +93,7 @@ class TestEncode:
         w = RngState(13).normal((2, 3, 4))
 
         def loss_tensor():
-            return (encode(batch, params, None) * w).sum()
+            return total(encode(batch, params, None) * w)
 
         loss_tensor().backward()
         names = named_parameters(params, "encoder")

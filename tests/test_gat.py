@@ -10,7 +10,7 @@ from graphfuse.layers import Dropout, named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from helpers import attention_maps
+from helpers import attention_maps, total
 from oracles import (attention_logits, dense_gat_reference, finite_difference,
                      gat_head, max_rel_err)
 
@@ -149,7 +149,7 @@ class TestGatForward:
         w = RngState(19).normal((1, 5, 4))
 
         def loss_tensor():
-            return (gat_forward(H, full_mask(1, 5), params, None) * w).sum()
+            return total(gat_forward(H, full_mask(1, 5), params, None) * w)
 
         loss_tensor().backward()
         names = {"H": H, **named_parameters(params, "gat")}

@@ -315,7 +315,9 @@ def buffers_of_shape(loss, shape):
 
 def test_training_graph_keeps_four_attention_maps():
     """A full training graph keeps one float64 (B, heads, n, n) map per
-    attention, the weights, plus the GAT's dropout mask: 4 in all."""
+    attention, the weights, plus the GAT's dropout mask: 4 in all. The GAT's
+    backward rebuilds the logit signs from its score vectors, so no bool map
+    is kept."""
     model, batches = build_world("full", seed=5, d_emb=32, d=32, gat_hidden=32,
                                  gat_heads=8, dec_heads=8)
     batch = batches[0]
@@ -323,7 +325,7 @@ def test_training_graph_keeps_four_attention_maps():
     loss = model.loss(batch, RngState(3), training=True)
     maps = buffers_of_shape(loss, (B, 8, n, n))
     assert maps.count(np.float64) <= 4
-    assert maps.count(np.bool_) == 1  # the GAT's logit signs
+    assert maps.count(np.bool_) == 0
 
 
 def op_name(node):
@@ -334,9 +336,11 @@ def op_name(node):
 
 
 def test_attention_heads_are_private_to_the_attention_ops():
-    """Each attention takes its q, k and v straight from their projections:
-    the head split lives inside ``T.attention``, so a relational-full
-    training pass records 42 nodes and none of them permutes heads."""
+    """Each attention takes its inputs straight from their projections: the
+    head split lives inside ``T.attention``, and the GAT's per-head
+    projection and score halves inside ``T.graph_attention``, so a
+    relational-full training pass records 33 nodes and none of them permutes
+    heads."""
     model, batches = build_world("full", seed=5, d_emb=32, d=32, gat_hidden=32,
                                  gat_heads=8, dec_heads=8)
     loss = model.loss(batches[0], RngState(3), training=True)
@@ -345,7 +349,9 @@ def test_attention_heads_are_private_to_the_attention_ops():
     assert len(attention) == 2
     for node in attention:
         assert [op_name(p) for p in node._parents] == ["linear"] * 3
-    assert len(recorded) == 42
+    [gat] = [node for node in recorded if op_name(node) == "graph_attention"]
+    assert [op_name(p) for p in gat._parents] == ["linear", None, None, None]
+    assert len(recorded) == 33
 
 
 def test_dropout_rate_has_one_owner():
