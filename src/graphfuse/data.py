@@ -1,4 +1,4 @@
-"""CoNLL ingest, vocabularies, and padded/masked batch construction.
+"""CoNLL ingest, vocabularies, and padded batch construction.
 
 File format: two whitespace-delimited columns (token, BIO label), blank line
 between sentences, UTF-8. The literal label ``-100`` is accepted on input and
@@ -8,7 +8,7 @@ carries the ignore convention through to the loss.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -212,21 +212,22 @@ def build_token_vocab(corpus: Corpus) -> TokenVocab:
 
 @dataclass
 class Batch:
-    """Padded batch. label_ids is -100 wherever attention_mask is False."""
+    """Padded batch. ``lengths`` is the one record of where the pads are:
+    row b holds ``lengths[b]`` real tokens, then pads (id 0, label -100)."""
 
     token_ids: np.ndarray       # (B, n_max) int64
-    attention_mask: np.ndarray  # (B, n_max) bool
     label_ids: np.ndarray       # (B, n_max) int64, -100 at pads
-    lengths: list[int] = field(default_factory=list)
+    lengths: list[int]          # B lengths, each in [0, n_max]
 
     def __post_init__(self):
         B, n = self.token_ids.shape
-        if self.attention_mask.shape != (B, n) or self.label_ids.shape != (B, n):
+        if self.label_ids.shape != (B, n):
             raise ContractError(
                 f"batch field shapes disagree: ids {self.token_ids.shape}, "
-                f"mask {self.attention_mask.shape}, labels {self.label_ids.shape}")
-        if len(self.lengths) != B:
-            raise ContractError(f"{len(self.lengths)} lengths for {B} rows")
+                f"labels {self.label_ids.shape}")
+        if len(self.lengths) != B or not all(0 <= m <= n for m in self.lengths):
+            raise ContractError(f"lengths {self.lengths} for {B} rows of "
+                                f"{n} tokens: need one in [0, {n}] per row")
 
 
 def make_batches(corpus: Corpus, batch_size: int, max_len: int,
@@ -264,8 +265,8 @@ def make_batches(corpus: Corpus, batch_size: int, max_len: int,
         rows = order[start:start + batch_size]
         row_lengths = lengths[rows].tolist()
         n = max(row_lengths)
-        batches.append(Batch(token_ids[rows, :n], mask[rows, :n],
-                             label_ids[rows, :n], row_lengths))
+        batches.append(Batch(token_ids[rows, :n], label_ids[rows, :n],
+                             row_lengths))
     return batches
 
 

@@ -67,7 +67,7 @@ def encode(batch: Batch, params: EncoderParams, drop: Dropout | None) -> Tensor:
     """Contextual embeddings H with shape (B, n_max, d).
 
     Padded positions flow through position-wise ops but are excluded from
-    attention via the key mask, so they never influence real tokens.
+    attention as keys, so they never influence real tokens.
     """
     n = batch.token_ids.shape[1]
     if n > params.positional.shape[0]:
@@ -79,7 +79,7 @@ def encode(batch: Batch, params: EncoderParams, drop: Dropout | None) -> Tensor:
     x = x + Tensor(params.positional[:n])
     x = apply_dropout(x, drop)
     for block in params.blocks:
-        attn = block.attn(x, x, x, batch.attention_mask)
+        attn = block.attn(x, x, x, batch.lengths)
         x = block.norm1(x + apply_dropout(attn, drop))
         ff = block.ff(x)
         x = block.norm2(x + apply_dropout(ff, drop))

@@ -14,9 +14,9 @@ them again.
 
 A block holds parameters only; what is fixed model-wide stays in
 ``graphfuse.tensor`` (the layer-norm epsilon). Every attention call is
-masked, so an ``Attention`` block requires its (B, n_k) key mask; it
-projects to (B, n, d) and hands the head split, the 1/√dh scale and the
-map work to the one-node ``T.attention``.
+masked, so an ``Attention`` block requires the batch's lengths; it
+projects to (B, n, d) and hands the head split, the 1/√dh scale, the pad
+keys and the map work to the one-node ``T.attention``.
 
 Dropout has one owner: ``TokenClassifier.forward`` builds one
 :class:`Dropout` per training pass from ``ModelConfig.dropout``, and passes
@@ -116,8 +116,8 @@ class LayerNorm:
 @dataclass
 class Attention:
     """One multi-head attention block: the Q/K/V projections, ``T.attention``
-    over their heads, and the output projection O. ``key_mask`` is the
-    (B, n_k) prefix key mask (True = real key); masked keys receive exactly
+    over their heads, and the output projection O. ``lengths`` holds each
+    sample's count of real keys; the pad keys after them receive exactly
     zero weight."""
 
     q: Linear
@@ -133,9 +133,9 @@ class Attention:
                          n_heads)
 
     def __call__(self, query: Tensor, key: Tensor, value: Tensor,
-                 key_mask: np.ndarray) -> Tensor:
+                 lengths: list[int]) -> Tensor:
         return self.o(T.attention(self.q(query), self.k(key), self.v(value),
-                                  key_mask, self.n_heads))
+                                  lengths, self.n_heads))
 
 
 @dataclass

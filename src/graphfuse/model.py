@@ -182,9 +182,9 @@ class TokenClassifier:
         token = T._attention_maps.set(maps)
         try:
             if self.gat is not None:
-                H = gat_forward(H, batch.attention_mask, self.gat, drop)
+                H = gat_forward(H, batch.lengths, self.gat, drop)
             if self.decoder is not None:
-                H = decode_refine(H, batch.attention_mask, self.decoder, drop)
+                H = decode_refine(H, batch.lengths, self.decoder, drop)
         finally:
             T._attention_maps.reset(token)
         if maps:

@@ -43,15 +43,16 @@ Design notes
   largest magnitude.
 * The heads are private to the two attention ops: both return (B, n, h·dh),
   the heads side by side, so no model code permutes axes.
-* ``attention(q, k, v, key_mask, n_heads)`` is multi-head
-  ``softmax(q @ kᵀ / √dh) @ v`` with pad keys at ``MASK_NEG`` (the
-  constant's one owner). It takes the (B, n, d) projections and splits the
-  heads with reshape and transpose views; its gradients go back through
-  the same views. The key mask must be a prefix mask, as every batch is:
-  each sample's pad columns are one trailing slice, set to ``MASK_NEG`` in
-  place of a broadcast bias add. That is bitwise the bias add, since
-  fl(s + MASK_NEG) = MASK_NEG for |s| < 7e13.
-* ``graph_attention(h, w, a_dst, a_src, key_mask, keep)`` is the GAT's
+* Both ops take ``lengths``, each sample's count of real tokens; the keys
+  after them are that sample's pads, set to ``MASK_NEG`` (the constant's one
+  owner) by slice. Both hand their shifted logits to one forward/backward
+  pair, ``_softmax_value`` and ``_softmax_value_backward``.
+* ``attention(q, k, v, lengths, n_heads)`` is multi-head
+  ``softmax(q @ kᵀ / √dh) @ v``. It takes the (B, n, d) projections and
+  splits the heads with reshape and transpose views; its gradients go back
+  through the same views. Setting a pad score to ``MASK_NEG`` is bitwise a
+  broadcast bias add, since fl(s + MASK_NEG) = MASK_NEG for |s| < 7e13.
+* ``graph_attention(h, w, a_dst, a_src, lengths, keep)`` is the GAT's
   ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. It takes the
   (B, n, d) features and forms the head-major ``wh = h @ w``, with ``w``
   (heads, d, dh), and the score halves ``s = wh · a`` itself. Pads get
@@ -68,7 +69,7 @@ Design notes
   ``LEAKY_RELU_SLOPE``; ReLU is ``max(x, 0)`` and its backward reads
   ``out > 0``, which is exactly ``x > 0``. Each gives the same bytes as the
   select it replaces, ±0.0 and subnormals included.
-* Both backwards use rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention): the
+* The backward uses rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention): the
   softmax backward's row term is a dot product over dh, not a map product
   reduced over n_k. It holds with dropout, because O is the output after
   dropout. The incoming gradient is divided by Z first, on the output's
@@ -88,7 +89,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateBatchError, ShapeMismatchError
 
-MASK_NEG = -1e30  # additive key-padding bias; exp() underflows to exactly 0.0
+MASK_NEG = -1e30  # a pad key's attention score; exp() underflows to exactly 0.0
 LAYER_NORM_EPS = 1e-5  # added to the variance in every layer_norm
 LEAKY_RELU_SLOPE = 0.2  # the GAT's attention-logit slope; lies in (0, 1)
 
@@ -288,114 +289,122 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 # -- attention ----------------------------------------------------------------
 
-def _normalised_product(e: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(e @ v) / z`` and the row sums ``z`` of ``e``, from one product.
-
-    ``v`` gets a ones column, so the product's last column is ``z``: the
-    normalisation costs an output-sized divide, not a pass over the map.
-    """
-    d = v.shape[-1]
-    v1 = np.empty((*v.shape[:-1], d + 1))
-    v1[..., :d] = v
-    v1[..., d] = 1.0
-    num = np.matmul(e, v1)
-    z = num[..., d:]
-    return num[..., :d] / z, z
+def _split_heads(a: np.ndarray, n_heads: int, axes=(0, 2, 1, 3)) -> np.ndarray:
+    """The (B, n, h, dh) view of the (B, n, d) array ``a``, permuted by ``axes``."""
+    B, n, d = a.shape
+    return a.reshape(B, n, n_heads, d // n_heads).transpose(axes)
 
 
-def attention(q, k, v, key_mask: np.ndarray, n_heads: int) -> Tensor:
+def _merge_heads(a: np.ndarray, axes=(0, 2, 1, 3)) -> np.ndarray:
+    """The (B, n, d) array of the head-major ``a``; ``axes`` undoes a split."""
+    a = a.transpose(axes)
+    return a.reshape(*a.shape[:2], -1)
+
+
+def _softmax_value(e: np.ndarray, v: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The output ``(softmax(e)∘keep) @ v`` and the row sums Z. ``e`` holds the
+    shifted logits and becomes the unnormalised weights E in place."""
+    np.exp(e, out=e)
+    if keep is None:
+        d = v.shape[-1]
+        v1 = np.empty((*v.shape[:-1], d + 1))
+        v1[..., :d] = v
+        v1[..., d] = 1.0
+        num = np.matmul(e, v1)
+        z = num[..., d:]
+        out = num[..., :d] / z
+    else:
+        z = np.matmul(e, np.ones(e.shape[-1]))[..., None]
+        out = np.matmul(e * keep, v)
+        out /= z
+    if (maps := _attention_maps.get()) is not None:
+        maps.append(e / z)
+    return out, z
+
+
+def _softmax_value_backward(g, e, z, v, out, keep, need_v: bool):
+    """The shifted logits' gradient and, if ``need_v``, the values' gradient
+    of ``_softmax_value``, from the head-major output gradient ``g``."""
+    gz = g / z
+    gs = np.matmul(gz, _matrix_t(v))
+    if keep is not None:
+        gs *= keep
+    gs -= (gz * out).sum(axis=-1, keepdims=True)
+    gs *= e
+    gv = np.matmul(_matrix_t(e if keep is None else e * keep), gz) if need_v else None
+    return gs, gv
+
+
+def attention(q, k, v, lengths: list[int], n_heads: int) -> Tensor:
     """Multi-head ``softmax(q @ kᵀ / √dh + key bias) @ v``, as one node.
 
     ``q`` is the (B, n_q, d) query projection, ``k`` and ``v`` the (B, n_k,
     d) key and value projections; each splits into ``n_heads`` heads of
     width dh = d / n_heads, and the result is (B, n_q, d) with the heads
-    side by side. ``key_mask`` is the (B, n_k) boolean key mask (True = real
-    key) and must be a prefix mask: each row is its real keys, then its
-    pads, as ``make_batches`` builds it; anything else raises ContractError.
-    Pad scores are set to MASK_NEG, so pads receive exactly zero weight. q is
-    scaled by 1/√dh rather than the scores: that is n·dh products instead of
-    n², and bitwise equal to scaling the scores when 1/√dh is a power of two
-    (dh = 4, 16, 64); at dh = 32 the two differ by rounding. The node keeps
-    the (B, h, n_q, n_k) unnormalised weights and their (B, h, n_q, 1) row
-    sums, and nothing else map-sized.
+    side by side. ``lengths`` holds each sample's count of real keys; the
+    keys after them are pads, whose scores are set to MASK_NEG, so pads
+    receive exactly zero weight. q is scaled by 1/√dh rather than the scores:
+    that is n·dh products instead of n², and bitwise equal to scaling the
+    scores when 1/√dh is a power of two (dh = 4, 16, 64); at dh = 32 the two
+    differ by rounding. The node keeps the (B, h, n_q, n_k) unnormalised
+    weights and their (B, h, n_q, 1) row sums, and nothing else map-sized.
     """
     q, k, v = _ensure_tensor(q), _ensure_tensor(k), _ensure_tensor(v)
     if q.data.ndim != 3 or k.data.ndim != 3 or k.data.shape != v.data.shape or \
             k.data.shape[::2] != q.data.shape[::2] or \
-            q.data.shape[2] % n_heads or key_mask.shape != k.data.shape[:2]:
+            q.data.shape[2] % n_heads or len(lengths) != q.data.shape[0]:
         raise ShapeMismatchError(
             f"attention needs q (B, n_q, d), k and v (B, n_k, d) with d a "
-            f"multiple of {n_heads} heads, and key_mask (B, n_k), got "
-            f"{q.data.shape}, {k.data.shape}, {v.data.shape} and {key_mask.shape}")
-    (B, n_q, d), n_k = q.data.shape, k.data.shape[1]
-    dh = d // n_heads
-    lengths = key_mask.sum(axis=1)
-    if not (key_mask == (np.arange(n_k) < lengths[:, None])).all():
-        raise ContractError("attention needs a prefix key mask: in each row, "
-                            "the real keys (True) come before the pads")
-
-    def split(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        """A head-major view of the (B, n, d) array ``a``."""
-        return a.reshape(B, -1, n_heads, dh).transpose(axes)
-
-    def merge(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        """The (B, n, d) array of the head-major ``a``; ``axes`` undoes a split."""
-        return a.transpose(axes).reshape(B, -1, d)
-
-    scale = 1.0 / np.sqrt(dh)
-    qh = split(q.data, (0, 2, 1, 3)) * scale    # (B, h, n_q, dh)
-    kh_t = split(k.data, (0, 2, 3, 1))          # (B, h, dh, n_k)
-    vh = split(v.data, (0, 2, 1, 3))            # (B, h, n_k, dh)
+            f"multiple of {n_heads} heads, and B lengths, got {q.data.shape}, "
+            f"{k.data.shape}, {v.data.shape} and {len(lengths)} lengths")
+    scale = 1.0 / np.sqrt(q.data.shape[2] // n_heads)
+    qh = _split_heads(q.data, n_heads) * scale          # (B, h, n_q, dh)
+    kh_t = _split_heads(k.data, n_heads, (0, 2, 3, 1))  # (B, h, dh, n_k)
+    vh = _split_heads(v.data, n_heads)                  # (B, h, n_k, dh)
     e = np.matmul(qh, kh_t)
-    for b in np.flatnonzero(lengths < n_k):
-        e[b, ..., lengths[b]:] = MASK_NEG
+    for b, length in enumerate(lengths):
+        e[b, ..., length:] = MASK_NEG
     e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    out, z = _normalised_product(e, vh)
-    if (maps := _attention_maps.get()) is not None:
-        maps.append(e / z)
+    out, z = _softmax_value(e, vh, None)
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def bw(g):
-        # the weights are e / z: folding 1/z into g leaves e as the map factor.
-        # rowsum(gy∘y) = rowsum(g∘out): the softmax backward needs no map
-        # product and no row reduction over n_k
-        gz = split(g, (0, 2, 1, 3)) / z
-        gs = np.matmul(gz, _matrix_t(vh))
-        gs -= (gz * out).sum(axis=-1, keepdims=True)
-        gs *= e
-        return (merge(np.matmul(gs, _matrix_t(kh_t)) * scale, (0, 2, 1, 3))
+        gs, gv = _softmax_value_backward(_split_heads(g, n_heads), e, z, vh,
+                                         out, None, need_v)
+        return (_merge_heads(np.matmul(gs, _matrix_t(kh_t)) * scale)
                 if need_q else None,
-                merge(np.matmul(_matrix_t(qh), gs), (0, 3, 1, 2)) if need_k else None,
-                merge(np.matmul(_matrix_t(e), gz), (0, 2, 1, 3)) if need_v else None)
+                _merge_heads(np.matmul(_matrix_t(qh), gs), (0, 3, 1, 2))
+                if need_k else None,
+                _merge_heads(gv) if need_v else None)
 
-    return _make(merge(out, (0, 2, 1, 3)), (q, k, v), bw)
+    return _make(_merge_heads(out), (q, k, v), bw)
 
 
-def graph_attention(h, w, a_dst, a_src, key_mask: np.ndarray,
+def graph_attention(h, w, a_dst, a_src, lengths: list[int],
                     keep: np.ndarray | None) -> Tensor:
     """GAT attention ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ Wh``.
 
     ``h`` is the (B, n, d) features, ``w`` the (heads, d, dh) per-head
     projection and ``a_dst`` and ``a_src`` the (heads, dh) score vectors:
     ``Wh`` is each head's projection of ``h`` and ``s_dst`` and ``s_src`` are
-    its dot products with ``a_dst`` and ``a_src``. ``key_mask`` is the (B, n)
-    key mask; pads get MASK_NEG as their source score, so they receive
-    exactly zero weight. ``keep`` is the (B, heads, n, n) inverted-dropout
-    mask, or None in eval mode. The result is (B, n, heads·dh), the heads
-    side by side. The node keeps the unnormalised weights, their row sums,
-    ``keep`` and the projected features.
+    its dot products with ``a_dst`` and ``a_src``. ``lengths`` holds each
+    sample's count of real tokens; the tokens after them are pads, whose
+    source scores are set to MASK_NEG, so they receive exactly zero weight.
+    ``keep`` is the (B, heads, n, n) inverted-dropout mask, or None in eval
+    mode. The result is (B, n, heads·dh), the heads side by side. The node
+    keeps the unnormalised weights, their row sums, ``keep`` and the
+    projected features.
     """
     h, w = _ensure_tensor(h), _ensure_tensor(w)
     a_dst, a_src = _ensure_tensor(a_dst), _ensure_tensor(a_src)
     if h.data.ndim != 3 or w.data.ndim != 3 or w.data.shape[1] != h.data.shape[2] or \
             a_dst.data.shape != w.data.shape[::2] or \
-            a_src.data.shape != w.data.shape[::2] or key_mask.shape != h.data.shape[:2]:
+            a_src.data.shape != w.data.shape[::2] or len(lengths) != h.data.shape[0]:
         raise ShapeMismatchError(
             f"graph_attention needs h (B, n, d), w (heads, d, dh), a_dst and "
-            f"a_src (heads, dh) and key_mask (B, n), got {h.data.shape}, "
+            f"a_src (heads, dh) and B lengths, got {h.data.shape}, "
             f"{w.data.shape}, {a_dst.data.shape}, {a_src.data.shape} and "
-            f"{key_mask.shape}")
+            f"{len(lengths)} lengths")
     (B, n, d), (heads, _, dh) = h.data.shape, w.data.shape
     h4 = h.data.reshape(B, 1, n, d)
     wh = np.matmul(h4, w.data)                          # (B, heads, n, dh)
@@ -403,7 +412,9 @@ def graph_attention(h, w, a_dst, a_src, key_mask: np.ndarray,
     a_s = a_src.data.reshape(1, heads, 1, dh)
     s_dst = (wh * a_d).sum(-1)                          # (B, heads, n)
     slope = LEAKY_RELU_SLOPE
-    src = np.where(key_mask[:, None, :], (wh * a_s).sum(-1), MASK_NEG)
+    src = (wh * a_s).sum(-1)
+    for b, length in enumerate(lengths):
+        src[b, :, length:] = MASK_NEG
     e = s_dst[..., None] + src[..., None, :]
     np.maximum(e, e * slope, out=e)
     # the row max, exactly: x -> fl(s_dst_i + x) and the leaky ReLU are
@@ -411,26 +422,13 @@ def graph_attention(h, w, a_dst, a_src, key_mask: np.ndarray,
     top = s_dst + src.max(axis=-1, keepdims=True)
     np.maximum(top, top * slope, out=top)
     e -= top[..., None]
-    np.exp(e, out=e)
-    if keep is None:
-        out, z = _normalised_product(e, wh)
-    else:
-        z = np.matmul(e, np.ones(n))[..., None]
-        out = np.matmul(e * keep, wh)
-        out /= z
-    if (maps := _attention_maps.get()) is not None:
-        maps.append(e / z)
+    out, z = _softmax_value(e, wh, keep)
     need_h, need_w = h.requires_grad, w.requires_grad
     need_dst, need_src = a_dst.requires_grad, a_src.requires_grad
 
     def bw(g):
-        gz = g.reshape(B, n, heads, -1).transpose(0, 2, 1, 3) / z
-        gs = np.matmul(gz, _matrix_t(wh))
-        if keep is not None:
-            gs *= keep
-        # rowsum(gs∘y) = rowsum(g∘out), with or without dropout
-        gs -= (gz * out).sum(axis=-1, keepdims=True)
-        gs *= e
+        gs, gwh = _softmax_value_backward(_split_heads(g, heads), e, z, wh, out,
+                                          keep, need_h or need_w)
         # the leaky ReLU's factor: exactly the slope at a negative logit, 1.0
         # elsewhere. fl(s_dst_i + src_j) < 0 is exactly s_dst_i < -src_j: a
         # float sum is zero only when it is exact, and rounding keeps its sign
@@ -440,9 +438,7 @@ def graph_attention(h, w, a_dst, a_src, key_mask: np.ndarray,
         gs *= f
         g_dst = gs.sum(axis=-1)[..., None]              # (B, heads, n, 1)
         g_src = gs.sum(axis=-2)[..., None]
-        gwh = None
-        if need_h or need_w:
-            gwh = np.matmul(_matrix_t(e if keep is None else e * keep), gz)
+        if gwh is not None:
             gwh += g_dst * a_d
             gwh += g_src * a_s
         return (_unbroadcast(np.matmul(gwh, _matrix_t(w.data)), h4.shape)
@@ -454,8 +450,7 @@ def graph_attention(h, w, a_dst, a_src, key_mask: np.ndarray,
                 _unbroadcast(g_src * wh, a_s.shape).reshape(heads, dh)
                 if need_src else None)
 
-    return _make(out.transpose(0, 2, 1, 3).reshape(B, n, -1),
-                 (h, w, a_dst, a_src), bw)
+    return _make(_merge_heads(out), (h, w, a_dst, a_src), bw)
 
 
 # -- gather / scatter ---------------------------------------------------------

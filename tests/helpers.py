@@ -31,6 +31,12 @@ def total(t):
                    lambda g: (np.broadcast_to(g, t.data.shape).copy(),))
 
 
+def length_mask(lengths, n):
+    """The (B, n) boolean mask of ``lengths`` (True at each row's first
+    lengths[b] entries, the real tokens): the key mask the oracles take."""
+    return np.arange(n) < np.asarray(lengths)[:, None]
+
+
 def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,
               reserve_low_ids=2):
     """Random padded batch with the given true lengths."""
@@ -38,13 +44,11 @@ def toy_batch(lengths, vocab_size, n_labels=3, seed=0, n_max=None,
     n_max = n_max or max(lengths)
     B = len(lengths)
     token_ids = np.zeros((B, n_max), dtype=np.int64)
-    mask = np.zeros((B, n_max), dtype=bool)
     label_ids = np.full((B, n_max), IGNORE_INDEX, dtype=np.int64)
     for b, n in enumerate(lengths):
         token_ids[b, :n] = rng.integers(reserve_low_ids, vocab_size, (n,))
-        mask[b, :n] = True
         label_ids[b, :n] = rng.integers(0, n_labels, (n,))
-    return Batch(token_ids, mask, label_ids, list(lengths))
+    return Batch(token_ids=token_ids, label_ids=label_ids, lengths=list(lengths))
 
 
 def assert_views_of_flat(model):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from graphfuse.data import (LabelVocab, Sentence, TokenVocab,
+from graphfuse.data import (Batch, LabelVocab, Sentence, TokenVocab,
                             build_label_vocab, build_token_vocab,
                             make_batches, parse_conll, serialize_conll)
 from graphfuse.errors import ConfigError, ContractError, ParseError
@@ -13,6 +13,7 @@ from graphfuse.rng import RngState
 from graphfuse.synth import copy_spec, generate
 from graphfuse.tensor import IGNORE_INDEX
 
+from helpers import length_mask
 from oracles import make_batches_reference
 
 FIXTURE = """\
@@ -173,11 +174,10 @@ class TestMakeBatches:
     def test_padding_carries_ignore_and_false_mask(self):
         corpus, tv, lv = self._small()
         for batch in make_batches(corpus, 3, 128, tv, lv):
-            pad = ~batch.attention_mask
+            pad = ~length_mask(batch.lengths, batch.token_ids.shape[1])
             assert np.all(batch.label_ids[pad] == IGNORE_INDEX)
             assert np.all(batch.token_ids[pad] == tv.pad_id)
             for i, n in enumerate(batch.lengths):
-                assert batch.attention_mask[i, :n].all()
                 assert np.all(batch.label_ids[i, :n] != IGNORE_INDEX)
 
     def test_total_length_preserved(self):
@@ -243,10 +243,14 @@ def test_make_batches_matches_reference(kind, batch_size, max_len, seed,
     got, want = run(make_batches), run(make_batches_reference)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        for name in ("token_ids", "attention_mask", "label_ids"):
+        for name in ("token_ids", "label_ids"):
             a, b = getattr(g, name), getattr(w, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             assert a.tobytes() == b.tobytes(), name
+        mask = length_mask(g.lengths, g.token_ids.shape[1])
+        assert (mask.dtype, mask.shape) == (w.attention_mask.dtype,
+                                            w.attention_mask.shape)
+        assert mask.tobytes() == w.attention_mask.tobytes()
         assert g.lengths == w.lengths
         assert all(type(n) is int for n in g.lengths)
 
@@ -257,3 +261,12 @@ def test_make_batches_names_an_unknown_label():
     lv = build_label_vocab(corpus[:1])
     with pytest.raises(ContractError, match="'B-NOPE'"):
         make_batches(corpus, 2, 128, tv, lv)
+
+
+@pytest.mark.parametrize("lengths", [[3, 4], [-1, 2], [3], [3, 2, 1]])
+def test_batch_needs_one_length_in_range_per_row(lengths):
+    ids = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ContractError, match="lengths"):
+        Batch(token_ids=ids, label_ids=ids.copy(), lengths=lengths)
+    # zero is a length: an empty sentence is a row of pads
+    Batch(token_ids=ids, label_ids=ids.copy(), lengths=[0, 3])

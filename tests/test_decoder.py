@@ -7,15 +7,8 @@ from graphfuse.layers import named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from helpers import attention_maps, total
+from helpers import attention_maps, length_mask, total
 from oracles import finite_difference, max_rel_err
-
-
-def mask_for(lengths, n_max):
-    m = np.zeros((len(lengths), n_max), dtype=bool)
-    for i, n in enumerate(lengths):
-        m[i, :n] = True
-    return m
 
 
 def make_params(d=8, heads=2, seed=0):
@@ -26,17 +19,17 @@ class TestDecodeRefine:
     def test_output_shape(self):
         params = make_params()
         x = Tensor(RngState(1).normal((3, 5, 8)))
-        out = decode_refine(x, mask_for([5, 3, 4], 5), params, None)
+        out = decode_refine(x, [5, 3, 4], params, None)
         assert out.shape == (3, 5, 8)
 
     def test_batch_reordering_permutes_outputs(self):
         params = make_params(seed=2)
         x = RngState(3).normal((4, 6, 8))
         lengths = [6, 4, 5, 3]
-        mask = mask_for(lengths, 6)
-        out = decode_refine(Tensor(x), mask, params, None).data
+        out = decode_refine(Tensor(x), lengths, params, None).data
         perm = [2, 0, 3, 1]
-        out_p = decode_refine(Tensor(x[perm]), mask[perm], params, None).data
+        out_p = decode_refine(Tensor(x[perm]), [lengths[i] for i in perm],
+                              params, None).data
         for new, old in enumerate(perm):
             n = lengths[old]
             np.testing.assert_allclose(out_p[new, :n], out[old, :n], atol=1e-12)
@@ -44,20 +37,19 @@ class TestDecodeRefine:
     def test_padding_extension_invariance(self):
         params = make_params(seed=4)
         x = RngState(5).normal((2, 4, 8))
-        mask = mask_for([4, 3], 4)
-        out = decode_refine(Tensor(x), mask, params, None).data
+        out = decode_refine(Tensor(x), [4, 3], params, None).data
         wide = np.concatenate([x, RngState(6).normal((2, 3, 8))], axis=1)
-        out_w = decode_refine(Tensor(wide), mask_for([4, 3], 7), params,
-                              None).data
+        out_w = decode_refine(Tensor(wide), [4, 3], params, None).data
         np.testing.assert_allclose(out_w[0, :4], out[0, :4], atol=1e-12)
         np.testing.assert_allclose(out_w[1, :3], out[1, :3], atol=1e-12)
 
     def test_attention_rows_sum_to_one_over_unmasked_keys(self):
         params = make_params(seed=7)
         x = Tensor(RngState(8).normal((3, 5, 8)) * 2)
-        mask = mask_for([5, 2, 4], 5)
+        lengths = [5, 2, 4]
+        mask = length_mask(lengths, 5)
         with attention_maps() as maps:
-            decode_refine(x, mask, params, None)
+            decode_refine(x, lengths, params, None)
         assert len(maps) == 2  # self-attention, then cross-attention
         for weights in maps:
             totals = weights.sum(axis=-1)  # (B, H, n_q)
@@ -73,22 +65,20 @@ class TestDecodeRefine:
         # a late token must influence an early position's output
         params = make_params(seed=9)
         x = RngState(10).normal((1, 4, 8))
-        mask = mask_for([4], 4)
-        base = decode_refine(Tensor(x), mask, params, None).data
+        base = decode_refine(Tensor(x), [4], params, None).data
         x2 = x.copy()
         x2[0, 3] += 1.0
-        bumped = decode_refine(Tensor(x2), mask, params, None).data
+        bumped = decode_refine(Tensor(x2), [4], params, None).data
         assert not np.allclose(base[0, 0], bumped[0, 0])
 
     def test_gradients_match_finite_differences(self):
         # d=8, 2 heads, n=4
         params = make_params(d=8, heads=2, seed=11)
         x = Tensor(RngState(12).normal((1, 4, 8)), requires_grad=True)
-        mask = mask_for([4], 4)
         w = RngState(13).normal((1, 4, 8))
 
         def loss_tensor():
-            return total(decode_refine(x, mask, params, None) * w)
+            return total(decode_refine(x, [4], params, None) * w)
 
         loss_tensor().backward()
         names = {"x": x, **named_parameters(params, "decoder")}

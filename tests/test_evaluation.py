@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from graphfuse import tensor as T
-from graphfuse.data import build_label_vocab, build_token_vocab, make_batches
+from graphfuse.data import (Sentence, build_label_vocab, build_token_vocab,
+                            make_batches)
 from graphfuse.errors import ConfigError
 from graphfuse.evaluation import evaluate, predict_corpus
 from graphfuse.model import ModelConfig, TokenClassifier
@@ -56,6 +57,16 @@ class TestPredictCorpus:
         # ragged lengths identify each sentence's slot
         for sent, pred in zip(sents, preds):
             assert len(pred) == min(len(sent.tokens), 16)
+
+    def test_empty_sentence_predicts_nothing(self, setup):
+        # a zero length is a row of pads in the batch of the shortest
+        # sentences, and leaves the other rows' predictions as they were
+        model, sents = setup
+        mixed = [sents[0], Sentence([], []), *sents[1:4]]
+        preds = predict_corpus(model, mixed, batch_size=3, max_len=16)
+        assert preds[1] == []
+        assert preds[:1] + preds[2:] == predict_corpus(model, sents[:4],
+                                                       batch_size=3, max_len=16)
 
     @pytest.mark.parametrize("max_len", [16, 8])
     def test_sorted_batches_match_corpus_order(self, setup, max_len):

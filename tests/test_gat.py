@@ -10,21 +10,13 @@ from graphfuse.layers import Dropout, named_parameters
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from helpers import attention_maps, total
+from helpers import attention_maps, length_mask, total
 from oracles import (attention_logits, dense_gat_reference, finite_difference,
                      gat_head, max_rel_err)
 
 
 def make_params(d=6, hidden=8, heads=2, seed=0):
     return GatParams.init(RngState(seed), d, hidden, heads)
-
-
-def full_mask(B, n):
-    return np.ones((B, n), dtype=bool)
-
-
-def length_mask(lengths):
-    return np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
 
 
 class TestAttentionLogits:
@@ -60,7 +52,7 @@ class TestGatForward:
         params = make_params(seed=4)
         with attention_maps() as maps:
             out = gat_forward(Tensor(RngState(5).normal((1, 1, 6))),
-                              full_mask(1, 1), params, None)
+                              [1], params, None)
         np.testing.assert_allclose(maps[0], np.ones((1, 2, 1, 1)))
         assert out.shape == (1, 1, 6)
 
@@ -69,17 +61,16 @@ class TestGatForward:
         n = 5
         H = Tensor(np.tile(RngState(7).normal((1, 1, 6)), (1, n, 1)))
         with attention_maps() as maps:
-            gat_forward(H, full_mask(1, n), params, None)
+            gat_forward(H, [n], params, None)
         np.testing.assert_allclose(maps[0], np.full((1, 2, n, n), 1.0 / n),
                                    atol=1e-12)
 
     def test_alpha_sums_to_one_per_neighborhood(self):
         params = make_params(seed=8)
         lengths = [4, 1, 6]
-        mask = length_mask(lengths)
         H = Tensor(RngState(9).normal((3, 6, 6)) * 3)
         with attention_maps() as maps:
-            gat_forward(H, mask, params, None)  # eval mode
+            gat_forward(H, lengths, params, None)  # eval mode
         alpha = maps[0]
         for b, n in enumerate(lengths):
             np.testing.assert_allclose(alpha[b, :, :n].sum(-1), 1.0, atol=1e-9)
@@ -90,8 +81,7 @@ class TestGatForward:
         params = make_params(d=5, hidden=6, heads=2, seed=10)
         H = rng.normal((4, 5))
         with attention_maps() as maps:
-            out = gat_forward(Tensor(H[None]), full_mask(1, 4), params,
-                              None).data[0]
+            out = gat_forward(Tensor(H[None]), [4], params, None).data[0]
 
         W_heads = [params.W.data[i] for i in range(2)]
         a_heads = [np.concatenate([params.a_dst.data[i], params.a_src.data[i]])
@@ -112,12 +102,11 @@ class TestGatForward:
     def test_padded_sentences_match_each_sentence_alone(self):
         params = make_params(seed=22)
         lengths = [5, 3]
-        mask = length_mask(lengths)
         H = RngState(23).normal((2, 5, 6))  # pad rows hold junk on purpose
-        out = gat_forward(Tensor(H), mask, params, None).data
-        assert np.all(out[~mask] == 0.0)
+        out = gat_forward(Tensor(H), lengths, params, None).data
+        assert np.all(out[~length_mask(lengths, 5)] == 0.0)
         for b, n in enumerate(lengths):
-            alone = gat_forward(Tensor(H[b:b + 1, :n]), full_mask(1, n), params,
+            alone = gat_forward(Tensor(H[b:b + 1, :n]), [n], params,
                                 None).data[0]
             np.testing.assert_allclose(out[b, :n], alone, rtol=1e-10, atol=1e-12)
 
@@ -126,22 +115,20 @@ class TestGatForward:
         n = 6
         H = RngState(12).normal((1, n, 6))
         perm = RngState(13).permutation(n)
-        out = gat_forward(Tensor(H), full_mask(1, n), params, None).data
-        out_p = gat_forward(Tensor(H[:, perm]), full_mask(1, n), params,
-                            None).data
+        out = gat_forward(Tensor(H), [n], params, None).data
+        out_p = gat_forward(Tensor(H[:, perm]), [n], params, None).data
         np.testing.assert_allclose(out_p, out[:, perm], atol=1e-10)
 
     def test_output_shape_matches_input(self):
         params = make_params(seed=14)
         H = Tensor(RngState(15).normal((2, 3, 6)))
-        out = gat_forward(H, length_mask([3, 2]), params, None)
+        out = gat_forward(H, [3, 2], params, None)
         assert out.shape == (2, 3, 6)
 
     def test_node_count_mismatch(self):
         params = make_params(seed=16)
         with pytest.raises(ContractError):
-            gat_forward(Tensor(np.zeros((1, 4, 6))), full_mask(1, 3), params,
-                        None)
+            gat_forward(Tensor(np.zeros((1, 4, 6))), [4, 3], params, None)
 
     def test_gradients_match_finite_differences_five_nodes(self):
         params = make_params(d=4, hidden=4, heads=2, seed=17)
@@ -149,7 +136,7 @@ class TestGatForward:
         w = RngState(19).normal((1, 5, 4))
 
         def loss_tensor():
-            return total(gat_forward(H, full_mask(1, 5), params, None) * w)
+            return total(gat_forward(H, [5], params, None) * w)
 
         loss_tensor().backward()
         names = {"H": H, **named_parameters(params, "gat")}
@@ -161,6 +148,6 @@ class TestGatForward:
     def test_training_dropout_draws_are_seeded(self):
         params = make_params(seed=20)
         H = Tensor(RngState(21).normal((1, 4, 6)))
-        a = gat_forward(H, full_mask(1, 4), params, Dropout(0.4, RngState(5)))
-        b = gat_forward(H, full_mask(1, 4), params, Dropout(0.4, RngState(5)))
+        a = gat_forward(H, [4], params, Dropout(0.4, RngState(5)))
+        b = gat_forward(H, [4], params, Dropout(0.4, RngState(5)))
         assert a.data.tobytes() == b.data.tobytes()

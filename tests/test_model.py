@@ -377,15 +377,14 @@ class TestAttentionCapture:
                                                     enc_layers):
         model, batches = build_world(variant, n_sents=6, enc_layers=enc_layers)
         batch = batches[1]
-        mask = batch.attention_mask
         # the stage maps, recorded one stage at a time
         with attention_maps() as encoder_maps:
             H = encode(batch, model.encoder, None)
         with attention_maps() as maps:
             if model.gat is not None:
-                H = gat_forward(H, mask, model.gat, None)
+                H = gat_forward(H, batch.lengths, model.gat, None)
             if model.decoder is not None:
-                decode_refine(H, mask, model.decoder, None)
+                decode_refine(H, batch.lengths, model.decoder, None)
         assert len(encoder_maps) == enc_layers
 
         collect = {}

@@ -14,7 +14,7 @@ from graphfuse.layers import Dropout, apply_dropout
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
-from helpers import attention_maps, total
+from helpers import attention_maps, length_mask, total
 from oracles import (finite_difference, leaky_relu, masked_softmax,
                      max_rel_err, scatter_add_rows_reference)
 
@@ -60,23 +60,17 @@ class TestLinear:
                      Tensor(np.zeros(3)))
 
 
-def all_keys(shape):
-    """The all-True key mask over the first and last axes of ``shape``."""
-    return np.ones((shape[0], shape[-1]), dtype=bool)
-
-
-# Key masks over n_k = 5 keys; in row 1 the only real key is the first.
-PAD_MASK = np.array([[True, True, True, False, False],
-                     [True, False, False, False, False]])
+# Real keys per sample, of n_k = 5; in sample 1 the only real key is the first.
+LENGTHS = [3, 1]
 # an inverted-dropout mask over the (B, h, n, n) = (2, 3, 5, 5) GAT map
 KEEP = Dropout(0.3, RngState(21)).keep((2, 3, 5, 5))
 FUSED_OPS = ["attention", "graph_attention", "graph_attention_keep"]
 
 
 def at_keys(arr, axis, real=False):
-    """The entries of ``arr`` at PAD_MASK's pad (or real) keys along ``axis``."""
-    mask = PAD_MASK if real else ~PAD_MASK
-    return np.moveaxis(arr, axis, 1)[mask]
+    """The entries of ``arr`` at LENGTHS' pad (or real) keys along ``axis``."""
+    mask = length_mask(LENGTHS, 5)
+    return np.moveaxis(arr, axis, 1)[mask if real else ~mask]
 
 
 def heads(x, h=3):
@@ -107,9 +101,9 @@ def fused_inputs(op, rng):
 
 def fused_op(op, *inputs):
     if op == "attention":
-        return T.attention(*inputs, PAD_MASK, 3)
+        return T.attention(*inputs, LENGTHS, 3)
     keep = KEEP if op == "graph_attention_keep" else None
-    return T.graph_attention(*inputs, PAD_MASK, keep)
+    return T.graph_attention(*inputs, LENGTHS, keep)
 
 
 def projected(h, w, a_dst, a_src):
@@ -124,10 +118,10 @@ def oracle(op, inputs):
     and its head-major values."""
     if op == "attention":
         q, k, v = inputs
-        return masked_softmax(scores(q, k), PAD_MASK), heads(v)
+        return masked_softmax(scores(q, k), length_mask(LENGTHS, 5)), heads(v)
     wh, s_dst, s_src = projected(*inputs)
     logits = leaky_relu(s_dst[..., None] + s_src[..., None, :])
-    return masked_softmax(logits, PAD_MASK), wh
+    return masked_softmax(logits, length_mask(LENGTHS, 5)), wh
 
 
 def from_score_halves(s_dst, s_src, v):
@@ -169,32 +163,32 @@ class TestSoftmax:
     softmax inside ``T.attention``."""
 
     def test_uniform(self):
-        out = masked_softmax(np.array([[0.0, 0.0, 0.0]]), all_keys((1, 3)))
+        out = masked_softmax(np.array([[0.0, 0.0, 0.0]]), length_mask([3], 3))
         np.testing.assert_allclose(out, [[1 / 3] * 3], atol=1e-15)
         # q = 0 gives every real key the same weight
         v = RngState(1).normal((2, 5, 6))
         with attention_maps() as weights:
-            T.attention(np.zeros((2, 4, 6)), np.ones((2, 5, 6)), v, PAD_MASK, 3)
+            T.attention(np.zeros((2, 4, 6)), np.ones((2, 5, 6)), v, LENGTHS, 3)
         np.testing.assert_allclose(weights[0][0, ..., :3], 1 / 3, atol=1e-15)
         assert (weights[0][1, ..., 0] == 1.0).all()
 
     def test_shift_invariance(self):
         x = np.array([[0.3, 1.3, 2.3]])
-        a = masked_softmax(x, all_keys(x.shape))
-        b = masked_softmax(x + 50.0, all_keys(x.shape))
+        a = masked_softmax(x, length_mask([3], 3))
+        b = masked_softmax(x + 50.0, length_mask([3], 3))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_against_scalar_reference(self):
         x = np.array([[1.0, 2.0, 3.0]])
         want = np.exp(x) / np.exp(x).sum()
-        np.testing.assert_allclose(masked_softmax(x, all_keys(x.shape)),
+        np.testing.assert_allclose(masked_softmax(x, length_mask([3], 3)),
                                    want, rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = RngState(2)
         q, k, v = fused_inputs("attention", rng)
         with attention_maps() as weights:
-            T.attention(q * 30.0, k, v, all_keys((2, 5)), 3)
+            T.attention(q * 30.0, k, v, [5, 5], 3)
         np.testing.assert_allclose(weights[0].sum(axis=-1), 1.0, atol=1e-9)
         assert (weights[0] > 0).all()
 
@@ -203,12 +197,11 @@ class TestSoftmax:
         arrays = fused_inputs("attention", rng)
         w = rng.normal((2, 4, 6))  # fixed projection so the loss is non-trivial
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
-        mask = all_keys((2, 5))
 
-        total(T.attention(q, k, v, mask, 3) * w).backward()
+        total(T.attention(q, k, v, [5, 5], 3) * w).backward()
 
         def ref():
-            return float((T.attention(*arrays, mask, 3).data * w).sum())
+            return float((T.attention(*arrays, [5, 5], 3).data * w).sum())
 
         fd = finite_difference(ref, arrays)
         for t, want in zip((q, k, v), fd):
@@ -218,11 +211,12 @@ class TestSoftmax:
         rng = RngState(16)
         q, k, v = fused_inputs("attention", rng)
         q *= 3.0
-        bias = np.where(PAD_MASK, 0.0, T.MASK_NEG)[:, None, None, :]
+        mask = length_mask(LENGTHS, 5)
+        bias = np.where(mask, 0.0, T.MASK_NEG)[:, None, None, :]
         with attention_maps() as weights:
-            out = T.attention(q, k, v, PAD_MASK, 3)
-        want = masked_softmax(scores(q, k) + bias, all_keys((2, 5)))
-        assert masked_softmax(scores(q, k), PAD_MASK).tobytes() == want.tobytes()
+            out = T.attention(q, k, v, LENGTHS, 3)
+        want = masked_softmax(scores(q, k) + bias, length_mask([5, 5], 5))
+        assert masked_softmax(scores(q, k), mask).tobytes() == want.tobytes()
         assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
         mixed = merged(want @ heads(v))
         assert np.abs(out.data - mixed).max() <= 1e-15 * np.abs(mixed).max()
@@ -231,40 +225,30 @@ class TestSoftmax:
 
     def test_key_mask_shape_checked(self):
         q, k, v = fused_inputs("attention", RngState(0))
+        # each op needs one length per sample
+        with pytest.raises(ShapeMismatchError, match="B lengths"):
+            T.attention(q, k, v, [5, 5, 5], 3)
         with pytest.raises(ShapeMismatchError):
-            T.attention(q, k, v, np.ones((2, 4), bool), 3)
-        with pytest.raises(ShapeMismatchError):
-            T.attention(q[0], k[0], v[0], np.ones((3, 5), bool), 3)
+            T.attention(q[0], k[0], v[0], [5, 5, 5], 3)
         with pytest.raises(ShapeMismatchError, match="multiple of 4 heads"):
-            T.attention(q, k, v, PAD_MASK, 4)
+            T.attention(q, k, v, LENGTHS, 4)
         with pytest.raises(ShapeMismatchError):
-            T.attention(q, k, v[:, :4], PAD_MASK, 3)
-        with pytest.raises(ShapeMismatchError):
-            T.attention(q, k, v, PAD_MASK[:, :4], 3)
+            T.attention(q, k, v[:, :4], LENGTHS, 3)
+        with pytest.raises(ShapeMismatchError, match="1 lengths"):
+            T.attention(q, k, v, LENGTHS[:1], 3)
         h, w, a_dst, a_src = fused_inputs("graph_attention", RngState(0))
+        with pytest.raises(ShapeMismatchError, match="B lengths"):
+            T.graph_attention(h, w, a_dst, a_src, [5, 5, 5], None)
+        with pytest.raises(ShapeMismatchError, match="1 lengths"):
+            T.graph_attention(h, w, a_dst, a_src, LENGTHS[:1], None)
         with pytest.raises(ShapeMismatchError):
-            T.graph_attention(h, w, a_dst, a_src, np.ones((2, 4), bool), None)
+            T.graph_attention(h, w[:, :3], a_dst, a_src, LENGTHS, None)
         with pytest.raises(ShapeMismatchError):
-            T.graph_attention(h, w, a_dst, a_src, PAD_MASK[:1], None)
+            T.graph_attention(h[0], w, a_dst, a_src, LENGTHS, None)
         with pytest.raises(ShapeMismatchError):
-            T.graph_attention(h, w[:, :3], a_dst, a_src, PAD_MASK, None)
+            T.graph_attention(h, w, a_dst[:, :1], a_src, LENGTHS, None)
         with pytest.raises(ShapeMismatchError):
-            T.graph_attention(h[0], w, a_dst, a_src, PAD_MASK, None)
-        with pytest.raises(ShapeMismatchError):
-            T.graph_attention(h, w, a_dst[:, :1], a_src, PAD_MASK, None)
-        with pytest.raises(ShapeMismatchError):
-            T.graph_attention(h, w, a_dst, a_src[:2], PAD_MASK, None)
-
-    @pytest.mark.parametrize("row", [[True, False, True], [False, True, True],
-                                     [False, False, True]])
-    def test_key_mask_must_be_a_prefix_mask(self, row):
-        rng = RngState(0)
-        q, k, v = (rng.normal(s) for s in ((1, 4, 4), (1, 3, 4), (1, 3, 4)))
-        with pytest.raises(ContractError, match="prefix"):
-            T.attention(q, k, v, np.array([row]), 2)
-        # the prefix masks of the same width pass
-        for n in range(4):
-            T.attention(q, k, v, np.array([[True] * n + [False] * (3 - n)]), 2)
+            T.graph_attention(h, w, a_dst, a_src[:2], LENGTHS, None)
 
 
 class TestFusedAttention:
@@ -285,7 +269,7 @@ class TestFusedAttention:
         # large scores and values at pads must not leak into the output: the
         # pad keys and values of attention, the pad tokens' features of the GAT
         for x in (inputs[1:] if op == "attention" else inputs[:1]):
-            x[~PAD_MASK] = 1e6
+            x[~length_mask(LENGTHS, 5)] = 1e6
         with attention_maps() as weights:
             out = fused_op(op, *inputs)
         assert (at_keys(weights[0], -1) == 0.0).all()
@@ -308,7 +292,7 @@ class TestFusedAttention:
             rows = logits[0, :, :3, :3]
             assert ((rows.max(-1) > 0) & (rows.min(-1) < 0)).any(axis=-1).all()
             # no gradient on the pad rows' outputs, as gat_forward's pad mask
-            w *= PAD_MASK[..., None]
+            w *= length_mask(LENGTHS, 5)[..., None]
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
 
         total(fused_op(op, *tensors) * w).backward()
@@ -344,12 +328,11 @@ class TestPointwise:
         np.testing.assert_array_equal(s_src[0, 0], x)
         h = Tensor(h, requires_grad=True)
         g = value_grad_only(rng.normal((1, 7, 3)))
-        mask = np.ones((1, 7), bool)
         with attention_maps() as weights:
-            out = T.graph_attention(h, w, a_dst, a_src, mask, None)
+            out = T.graph_attention(h, w, a_dst, a_src, [7], None)
         y = weights[0]
         assert y.tobytes() == masked_softmax(
-            np.broadcast_to(want, (1, 1, 7, 7)), mask).tobytes()
+            np.broadcast_to(want, (1, 1, 7, 7)), length_mask([7], 7)).tobytes()
         # the gradient factor is 1.0 at -0.0, 0.0 and 1e-300 and the slope
         # at -1e-300, as in where(x >= 0, 1, slope)
         total(out * g).backward()
@@ -372,7 +355,7 @@ class TestPointwise:
         h = Tensor(h, requires_grad=True)
         g = value_grad_only(rng.normal((1, 7, 3)))
         with attention_maps() as weights:
-            out = T.graph_attention(h, w, a_dst, a_src, np.ones((1, 7), bool), keep)
+            out = T.graph_attention(h, w, a_dst, a_src, [7], keep)
         total(out * g).backward()
         y = weights[0]
         gy = heads(g, 1) @ heads(h.data, 1).transpose(0, 1, 3, 2) * keep
@@ -410,8 +393,7 @@ class TestPointwise:
         h = Tensor(h, requires_grad=True)
         g = value_grad_only(rng.normal((1, 3, 6)))
         with attention_maps() as weights:
-            out = T.graph_attention(h, w, a_dst, a_src, np.ones((1, 3), bool),
-                                    None)
+            out = T.graph_attention(h, w, a_dst, a_src, [3], None)
         total(out * g).backward()
         y = weights[0]
         gy = heads(g, 2) @ heads(h.data, 2).transpose(0, 1, 3, 2)
@@ -630,14 +612,14 @@ class TestBackwardEngine:
         w = rng.normal((2, 5, 6))
         gat = [rng.normal(shape) for shape in ((3, 6, 2), (3, 2), (3, 2))]
 
-        def attend(z, mask):
-            return T.attention(z, z, z, mask, 3)
+        def attend(z, lengths):
+            return T.attention(z, z, z, lengths, 3)
 
         def graph(z, keep):
-            return T.graph_attention(z, *gat, PAD_MASK, keep)
+            return T.graph_attention(z, *gat, LENGTHS, keep)
 
-        fns = {"softmax": lambda z: attend(z, all_keys((2, 5))),
-               "masked_softmax": lambda z: attend(z, PAD_MASK),
+        fns = {"softmax": lambda z: attend(z, [5, 5]),
+               "masked_softmax": lambda z: attend(z, LENGTHS),
                "leaky_relu": lambda z: graph(z, None),
                "leaky_relu_dropout": lambda z: graph(z, KEEP),
                "elu": lambda z: T.elu(z)}
