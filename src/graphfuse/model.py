@@ -189,7 +189,8 @@ class TokenClassifier:
             T._attention_maps.reset(token)
         if maps:
             collect["gat_alpha"] = edge_alpha(
-                maps[0], batch.lengths, build_fully_connected(batch.lengths))
+                maps[0], batch.lengths,
+                build_fully_connected([m for m in batch.lengths if m]))
             for key, weights in zip(("dec_self", "dec_cross"), maps[1:]):
                 collect[key] = [weights]
         return classify(H, self.head)
@@ -200,7 +201,11 @@ class TokenClassifier:
                                     batch.label_ids)
 
     def predict_batch(self, batch: Batch) -> list[list[int]]:
-        """Per-sentence argmax label ids (ties break to the lowest index)."""
+        """Per-sentence argmax label ids (ties break to the lowest index).
+        A batch whose sentences are all empty predicts ``[]`` for each
+        without running the model."""
+        if not batch.token_ids.shape[1]:
+            return [[] for _ in batch.lengths]
         with T.no_grad():
             logits = self.forward(batch, rng=None, training=False)
         ids = np.argmax(logits.data, axis=-1)

@@ -57,12 +57,24 @@ Design notes
   (B, n, d) features and forms the head-major ``wh = h @ w``, with ``w``
   (heads, d, dh), and the score halves ``s = wh · a`` itself. Pads get
   ``MASK_NEG`` as their source score, so no pad pass over the map is needed.
-  Its row max is ``leaky_relu(s_dst_i + max_j s_src_j)``, taken on vectors:
-  x -> fl(s_dst_i + x) and the leaky ReLU are monotone, so this is exactly
-  the max over the map's row. With dropout, Z is one product ``E @ 1`` and
-  the output is ``((E∘keep) @ wh) / Z``. Besides E and Z it keeps the
-  dropout mask; the backward rebuilds the signs of the logits from the
-  score vectors.
+  The logits are one rank-2 product, ``[s_dst, 1] @ [1; src]``, in place of
+  a broadcast sum that runs one short inner loop per row. Each entry is
+  s_dst_i·1 + 1·src_j: both products are exact and the sum rounds once, so
+  it is the broadcast sum bitwise but for the sign of an exact zero, which
+  the leaky ReLU and exp map to the same value. Its row max is
+  ``leaky_relu(s_dst_i + max_j s_src_j)``, taken on vectors: x -> fl(s_dst_i
+  + x) and the leaky ReLU are monotone, so this is exactly the max over the
+  map's row. With dropout, Z is one product ``E @ 1`` and the output is
+  ``((E∘keep) @ wh) / Z``. Besides E and Z it keeps the dropout mask and
+  the two (B, heads, n, 2) factors of the product; the backward takes the
+  logit signs as that same product ``< 0``, so no sign map is kept.
+* Each float row max (the attention map's shift, the GAT's source-score
+  max and the loss's log-sum-exp shift) is ``_row_max``: the entry at the
+  row's argmax, read with ``take_along_axis``. A max is exact in any order,
+  so this is the value ``max`` returns, NaN included, but for which of two
+  tied zeros it picks, and a - (±0.0) has one exp. numpy's ``max`` over a
+  short last axis runs about 70 ns per row; argmax and the gather cost less
+  at n = 12, 36 and 128 alike.
 * No map pass runs a masked ufunc (numpy's ``where`` keyword) or a scalar
   ``np.where``: both run slow per-element loops. The leaky ReLU is ``max(y, slope·y)``
   and its gradient factor is the map ``neg·slope + ~neg``, exactly 1.0 or
@@ -301,6 +313,12 @@ def _merge_heads(a: np.ndarray, axes=(0, 2, 1, 3)) -> np.ndarray:
     return a.reshape(*a.shape[:2], -1)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """The max of each row of ``a`` (its last axis), with keepdims, read at
+    the row's argmax."""
+    return np.take_along_axis(a, a.argmax(axis=-1)[..., None], axis=-1)
+
+
 def _softmax_value(e: np.ndarray, v: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
     """The output ``(softmax(e)∘keep) @ v`` and the row sums Z. ``e`` holds the
     shifted logits and becomes the unnormalised weights E in place."""
@@ -364,7 +382,7 @@ def attention(q, k, v, lengths: list[int], n_heads: int) -> Tensor:
     e = np.matmul(qh, kh_t)
     for b, length in enumerate(lengths):
         e[b, ..., length:] = MASK_NEG
-    e -= e.max(axis=-1, keepdims=True)
+    e -= _row_max(e)
     out, z = _softmax_value(e, vh, None)
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
@@ -392,8 +410,8 @@ def graph_attention(h, w, a_dst, a_src, lengths: list[int],
     source scores are set to MASK_NEG, so they receive exactly zero weight.
     ``keep`` is the (B, heads, n, n) inverted-dropout mask, or None in eval
     mode. The result is (B, n, heads·dh), the heads side by side. The node
-    keeps the unnormalised weights, their row sums, ``keep`` and the
-    projected features.
+    keeps the unnormalised weights, their row sums, ``keep``, the projected
+    features and the two factors of the logit product.
     """
     h, w = _ensure_tensor(h), _ensure_tensor(w)
     a_dst, a_src = _ensure_tensor(a_dst), _ensure_tensor(a_src)
@@ -410,16 +428,20 @@ def graph_attention(h, w, a_dst, a_src, lengths: list[int],
     wh = np.matmul(h4, w.data)                          # (B, heads, n, dh)
     a_d = a_dst.data.reshape(1, heads, 1, dh)
     a_s = a_src.data.reshape(1, heads, 1, dh)
-    s_dst = (wh * a_d).sum(-1)                          # (B, heads, n)
     slope = LEAKY_RELU_SLOPE
-    src = (wh * a_s).sum(-1)
+    # the logits s_dst_i + src_j are the rank-2 product [s_dst, 1] @ [1; src]
+    lhs = np.ones((B, heads, n, 2))
+    rhs = np.ones((B, heads, 2, n))
+    s_dst, src = lhs[..., 0], rhs[..., 1, :]            # (B, heads, n) views
+    s_dst[...] = (wh * a_d).sum(-1)
+    src[...] = (wh * a_s).sum(-1)
     for b, length in enumerate(lengths):
         src[b, :, length:] = MASK_NEG
-    e = s_dst[..., None] + src[..., None, :]
+    e = np.matmul(lhs, rhs)
     np.maximum(e, e * slope, out=e)
     # the row max, exactly: x -> fl(s_dst_i + x) and the leaky ReLU are
     # monotone, so max_j of the logits is the logit of max_j src_j
-    top = s_dst + src.max(axis=-1, keepdims=True)
+    top = s_dst + _row_max(src)
     np.maximum(top, top * slope, out=top)
     e -= top[..., None]
     out, z = _softmax_value(e, wh, keep)
@@ -430,9 +452,8 @@ def graph_attention(h, w, a_dst, a_src, lengths: list[int],
         gs, gwh = _softmax_value_backward(_split_heads(g, heads), e, z, wh, out,
                                           keep, need_h or need_w)
         # the leaky ReLU's factor: exactly the slope at a negative logit, 1.0
-        # elsewhere. fl(s_dst_i + src_j) < 0 is exactly s_dst_i < -src_j: a
-        # float sum is zero only when it is exact, and rounding keeps its sign
-        neg = s_dst[..., None] < -src[..., None, :]
+        # elsewhere; the product rebuilds the logits before the leaky ReLU
+        neg = np.matmul(lhs, rhs) < 0
         f = neg * slope
         f += ~neg
         gs *= f
@@ -519,7 +540,7 @@ def masked_cross_entropy(logits: Tensor, label_ids: np.ndarray) -> Tensor:
         raise DegenerateBatchError("all positions carry the ignore label")
 
     rows = flat[valid]
-    shifted = rows - rows.max(axis=1, keepdims=True)
+    shifted = rows - _row_max(rows)
     ex = np.exp(shifted)
     total = ex.sum(axis=1, keepdims=True)
     picked_at = (np.arange(n_valid), lab[valid])

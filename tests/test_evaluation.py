@@ -14,18 +14,21 @@ from graphfuse.rng import RngState
 from graphfuse.synth import copy_spec, generate
 
 
-@pytest.fixture(scope="module")
-def setup():
-    splits = generate(copy_spec(seed=20))
-    sents = splits["valid"][:20]
+def build_model(sents, variant="full"):
     token_vocab = build_token_vocab(sents)
     label_vocab = build_label_vocab(sents)
     config = ModelConfig(vocab_size=len(token_vocab),
                          n_labels=len(label_vocab),
                          d_emb=16, d=16, gat_hidden=16, gat_heads=2,
-                         enc_heads=2, dec_heads=2, dropout=0.0, max_len=16)
-    model = TokenClassifier(config, token_vocab, label_vocab, RngState(3))
-    return model, sents
+                         enc_heads=2, dec_heads=2, dropout=0.0, max_len=16,
+                         variant=variant)
+    return TokenClassifier(config, token_vocab, label_vocab, RngState(3))
+
+
+@pytest.fixture(scope="module")
+def setup():
+    sents = generate(copy_spec(seed=20))["valid"][:20]
+    return build_model(sents), sents
 
 
 class TestPredictCorpus:
@@ -60,13 +63,19 @@ class TestPredictCorpus:
 
     def test_empty_sentence_predicts_nothing(self, setup):
         # a zero length is a row of pads in the batch of the shortest
-        # sentences, and leaves the other rows' predictions as they were
-        model, sents = setup
-        mixed = [sents[0], Sentence([], []), *sents[1:4]]
-        preds = predict_corpus(model, mixed, batch_size=3, max_len=16)
-        assert preds[1] == []
-        assert preds[:1] + preds[2:] == predict_corpus(model, sents[:4],
-                                                       batch_size=3, max_len=16)
+        # sentences, and leaves the other rows' predictions as they were;
+        # four empty sentences fill the first batch of three, n = 0 wide
+        sents = setup[1][:4]
+        empty = Sentence([], [])
+        mixed = [sents[0], empty, *sents[1:]]
+        for model in (build_model(setup[1], "gat"), setup[0]):
+            preds = predict_corpus(model, mixed, batch_size=3, max_len=16)
+            assert preds[1] == []
+            want = predict_corpus(model, sents, batch_size=3, max_len=16)
+            assert preds[:1] + preds[2:] == want
+            preds = predict_corpus(model, [*mixed, empty, empty, empty],
+                                   batch_size=3, max_len=16)
+            assert preds == [want[0], [], *want[1:], [], [], []]
 
     @pytest.mark.parametrize("max_len", [16, 8])
     def test_sorted_batches_match_corpus_order(self, setup, max_len):

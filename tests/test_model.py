@@ -316,8 +316,8 @@ def buffers_of_shape(loss, shape):
 def test_training_graph_keeps_four_attention_maps():
     """A full training graph keeps one float64 (B, heads, n, n) map per
     attention, the weights, plus the GAT's dropout mask: 4 in all. The GAT's
-    backward rebuilds the logit signs from its score vectors, so no bool map
-    is kept."""
+    backward rebuilds the logit signs from the two factors of its rank-2
+    logit product, so no bool map is kept."""
     model, batches = build_world("full", seed=5, d_emb=32, d=32, gat_hidden=32,
                                  gat_heads=8, dec_heads=8)
     batch = batches[0]
@@ -400,6 +400,29 @@ class TestAttentionCapture:
             assert [len(collect["dec_self"]), len(collect["dec_cross"])] == [1, 1]
             assert collect["dec_self"][0].tobytes() == maps[1].tobytes()
             assert collect["dec_cross"][0].tobytes() == maps[2].tobytes()
+
+    @pytest.mark.parametrize("variant", ["gat", "full"])
+    def test_collect_accepts_an_empty_sentence(self, variant):
+        # the edge list holds only the nonempty samples' graphs, and an
+        # empty sample gets no rows
+        model, _ = build_world(variant, enc_layers=1)
+        lengths = [int(m) for m in RngState(7).integers(1, 7, (10,))]
+        lengths[5] = 0
+        corpus = [Sentence([f"t{i}" for i in range(m)], ["O"] * m)
+                  for m in lengths]
+        batches = make_batches(corpus, 4, 16, model.token_vocab,
+                               model.label_vocab)
+        assert batches[1].lengths[1] == 0
+        for batch in batches:
+            collect = {}
+            logits = model.forward(batch, collect=collect)
+            assert logits.data.tobytes() == model.forward(batch).data.tobytes()
+            alpha, targets = collect["gat_alpha"]
+            assert alpha.shape == (sum(m * m for m in batch.lengths),
+                                   model.gat.n_heads)
+            sums = np.zeros((sum(batch.lengths), model.gat.n_heads))
+            np.add.at(sums, targets, alpha)
+            np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
     def test_recorder_is_reset_after_a_pass_and_after_a_raise(self,
                                                               monkeypatch):

@@ -251,6 +251,55 @@ class TestSoftmax:
             T.graph_attention(h, w, a_dst, a_src[:2], LENGTHS, None)
 
 
+class TestRowMaxAndLogitProduct:
+    """The exact shortcuts inside the fused ops: the row max read at the
+    argmax, and the GAT logits s_dst_i + src_j as one rank-2 product."""
+
+    @pytest.mark.parametrize("shape", [(8, 5), (3, 6, 5), (2, 3, 6, 5),
+                                       (8, 1), (2, 4, 1)])
+    def test_row_max_equals_max(self, shape):
+        rng = RngState(22)
+        a = rng.normal(shape).reshape(-1, shape[-1])
+        specials = [[-0.0, 0.0, -0.0, 0.0, -1.0], [0.0, -0.0, -3.0, 0.0, -0.0],
+                    [2.0, -1.0, 2.0, 2.0, 0.5], [np.inf, 1.0, -np.inf, 0.0, 2.0],
+                    [-np.inf] * 5, [1.0, np.nan, 3.0, np.nan, 0.0],
+                    [T.MASK_NEG] * 5, [0.25, T.MASK_NEG, 0.25, T.MASK_NEG, 3.0]]
+        for row, values in zip(a, specials):  # ties, ±0.0, ±inf, NaN, pads
+            row[:] = values[:shape[-1]]
+        a = a.reshape(shape)
+        m = T._row_max(a)
+        want = a.max(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(m, want)
+        with np.errstate(invalid="ignore"):
+            assert np.exp(a - m).tobytes() == np.exp(a - want).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3, 7), (16, 8, 36), (2, 2, 128)])
+    def test_logit_product_is_the_pairwise_sum(self, shape):
+        """``[s_dst, 1] @ [1; src]`` equals the broadcast sum bitwise but for
+        the sign of an exact zero, and its ``< 0`` map is exactly the sign
+        compare ``s_dst_i < -src_j``: each entry is s·1 + 1·src, products
+        that are exact, rounded once."""
+        rng = RngState(23)
+        B, heads, n = shape
+        lhs = np.ones((B, heads, n, 2))
+        rhs = np.ones((B, heads, 2, n))
+        s_dst, src = lhs[..., 0], rhs[..., 1, :]
+        s_dst[...] = rng.normal(shape)
+        src[...] = rng.normal(shape)
+        edge = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324]
+        s_dst[..., :6] = edge
+        src[..., :6] = edge[::-1]
+        src[..., 6] = -s_dst[..., 6]      # exact cancellations
+        for b in range(B):
+            src[b, :, n - 1 - b % 3:] = T.MASK_NEG
+        product = np.matmul(lhs, rhs)
+        pairwise = s_dst[..., None] + src[..., None, :]
+        assert (pairwise == 0.0).any() and (pairwise == T.MASK_NEG).any()
+        assert (product + 0.0).tobytes() == (pairwise + 0.0).tobytes()
+        np.testing.assert_array_equal(product < 0,
+                                      s_dst[..., None] < -src[..., None, :])
+
+
 class TestFusedAttention:
     @pytest.mark.parametrize("op", FUSED_OPS)
     def test_forward_equals_oracle_composition(self, op):
