@@ -42,9 +42,9 @@ def decode_refine(H_gat: Tensor, lengths: list[int], params: DecoderParams,
     Cross-attention keys and values are the layer input ``H_gat`` (the
     graph-stage output); its queries are the self-attention result.
     """
-    sa = params.self_attn(H_gat, H_gat, H_gat, lengths)
+    sa = params.self_attn(H_gat, H_gat, lengths)
     x = params.norm1(H_gat + apply_dropout(sa, drop))
-    ca = params.cross_attn(x, H_gat, H_gat, lengths)
+    ca = params.cross_attn(x, H_gat, lengths)
     x = params.norm2(x + apply_dropout(ca, drop))
     ff = params.ff(x)
     return params.norm3(x + apply_dropout(ff, drop))

@@ -8,7 +8,7 @@ scale; the interesting machinery lives downstream of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,8 @@ class EncoderBlock:
 class EncoderParams:
     embedding: Tensor               # (|V|, d_emb), trainable
     positional: np.ndarray          # (max_len, d_emb), fixed
-    blocks: list[EncoderBlock] = field(default_factory=list)
-    projection: Linear = None       # d_emb -> d
+    blocks: list[EncoderBlock]
+    projection: Linear              # d_emb -> d
 
     @staticmethod
     def init(rng: RngState, vocab_size: int, d_emb: int, d: int,
@@ -79,7 +79,7 @@ def encode(batch: Batch, params: EncoderParams, drop: Dropout | None) -> Tensor:
     x = x + Tensor(params.positional[:n])
     x = apply_dropout(x, drop)
     for block in params.blocks:
-        attn = block.attn(x, x, x, batch.lengths)
+        attn = block.attn(x, x, batch.lengths)
         x = block.norm1(x + apply_dropout(attn, drop))
         ff = block.ff(x)
         x = block.norm2(x + apply_dropout(ff, drop))

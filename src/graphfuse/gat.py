@@ -5,8 +5,9 @@ softmax over each node's in-neighborhood. Every sentence graph is complete
 and self-looped, so the in-neighborhood of a token is every real token of
 its sentence and the layer is dense attention over the padded batch, with
 each sentence's trailing pad tokens masked out as keys (the ``bias_mat``
-form of the original GAT code). Heads are concatenated and projected back
-to d.
+form of the original GAT code). As after the encoder and the decoder, a
+pad row's output has no defined value; the loss ignores it. Heads are
+concatenated and projected back to d.
 
 ``T.graph_attention`` takes the (B, n, d) features, ``W`` and the two
 score vectors: it projects each head, forms the score halves, their pairwise
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
 from .graph import EdgeIndex
 from .layers import Dropout, Linear, apply_dropout
 from .rng import RngState
@@ -59,20 +59,16 @@ def gat_forward(H: Tensor, lengths: list[int], params: GatParams,
                 drop: Dropout | None) -> Tensor:
     """Graph-attention layer: padded (B, n, d) -> (B, n, d).
 
-    Sample b has ``lengths[b]`` real tokens, then pads. Pad keys get exactly
-    zero weight and pad rows of the output are exactly zero. ``drop`` (None
-    in eval mode) gives the (B, heads, n, n) mask on the attention weights,
-    drawn before ``T.graph_attention`` runs and before the head outputs'
-    mask, the composed layer's order of draws.
+    Sample b has ``lengths[b]`` real tokens, then pads, which get exactly
+    zero weight as keys. ``drop`` (None in eval mode) gives the (B, heads, n,
+    n) mask on the attention weights, drawn before ``T.graph_attention`` runs
+    and before the head outputs' mask, the composed layer's order of draws.
     """
     B, n, _ = H.shape
-    if len(lengths) != B:
-        raise ContractError(f"{len(lengths)} lengths for features {H.shape}")
     keep = None if drop is None else drop.keep((B, params.n_heads, n, n))
     mixed = T.graph_attention(H, params.W, params.a_dst, params.a_src, lengths, keep)
     feats = apply_dropout(T.elu(mixed), drop)
-    real = np.arange(n) < np.asarray(lengths)[:, None]
-    return params.proj(feats) * real[..., None]
+    return params.proj(feats)
 
 
 def edge_alpha(alpha: np.ndarray, lengths: list[int],

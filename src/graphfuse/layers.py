@@ -116,7 +116,8 @@ class LayerNorm:
 @dataclass
 class Attention:
     """One multi-head attention block: the Q/K/V projections, ``T.attention``
-    over their heads, and the output projection O. ``lengths`` holds each
+    over their heads, and the output projection O. The queries come from
+    ``query``, the keys and values from ``memory``. ``lengths`` holds each
     sample's count of real keys; the pad keys after them receive exactly
     zero weight."""
 
@@ -132,9 +133,9 @@ class Attention:
                          Linear.init(rng, d, d), Linear.init(rng, d, d),
                          n_heads)
 
-    def __call__(self, query: Tensor, key: Tensor, value: Tensor,
+    def __call__(self, query: Tensor, memory: Tensor,
                  lengths: list[int]) -> Tensor:
-        return self.o(T.attention(self.q(query), self.k(key), self.v(value),
+        return self.o(T.attention(self.q(query), self.k(memory), self.v(memory),
                                   lengths, self.n_heads))
 
 

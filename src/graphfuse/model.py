@@ -168,6 +168,10 @@ class TokenClassifier:
         ``rng``, stage by stage, and raises ContractError without one;
         otherwise no stage drops anything.
 
+        Pads are masked as keys in every attention and their logits have no
+        defined value; the loss ignores them. A batch with no tokens gives
+        (B, 0, L) logits and runs no stage.
+
         A ``collect`` dict receives the GAT's and decoder's attention maps:
         ``gat_alpha`` (``edge_alpha``'s rows and targets), and ``dec_self``
         and ``dec_cross``, one-element lists. Encoder maps are not recorded.
@@ -177,6 +181,9 @@ class TokenClassifier:
         if drop is not None and rng is None:
             raise ContractError(f"a training pass at dropout {p} needs an rng "
                                 f"to draw its masks from")
+        B, n = batch.token_ids.shape
+        if n == 0:
+            return Tensor(np.zeros((B, 0, self.config.n_labels)))
         H = encode(batch, self.encoder, drop)
         maps = [] if collect is not None else None
         token = T._attention_maps.set(maps)
@@ -201,11 +208,8 @@ class TokenClassifier:
                                     batch.label_ids)
 
     def predict_batch(self, batch: Batch) -> list[list[int]]:
-        """Per-sentence argmax label ids (ties break to the lowest index).
-        A batch whose sentences are all empty predicts ``[]`` for each
-        without running the model."""
-        if not batch.token_ids.shape[1]:
-            return [[] for _ in batch.lengths]
+        """Per-sentence argmax label ids over each sentence's real tokens
+        (ties break to the lowest index); an empty sentence gets ``[]``."""
         with T.no_grad():
             logits = self.forward(batch, rng=None, training=False)
         ids = np.argmax(logits.data, axis=-1)

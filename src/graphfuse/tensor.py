@@ -17,8 +17,8 @@ Design notes
   them; ``TokenClassifier.zero_grad`` zeroes the model's gradient buffer.
   Intermediate results keep ``.grad is None``.
 * A binary op's backward returns ``None`` for an operand that did not
-  require grad when the op ran (dropout and padding masks, constant
-  scales), so no product or reduction is spent on a gradient nobody reads.
+  require grad when the op ran (dropout masks, constant scales), so no
+  product or reduction is spent on a gradient nobody reads.
 * Ops take only the arguments the model passes: a value that is the same
   at every call site is a constant here (``LAYER_NORM_EPS``,
   ``LEAKY_RELU_SLOPE``, ELU's alpha 1).
@@ -57,8 +57,8 @@ Design notes
   (B, n, d) features and forms the head-major ``wh = h @ w``, with ``w``
   (heads, d, dh), and the score halves ``s = wh · a`` itself. Pads get
   ``MASK_NEG`` as their source score, so no pad pass over the map is needed.
-  The logits are one rank-2 product, ``[s_dst, 1] @ [1; src]``, in place of
-  a broadcast sum that runs one short inner loop per row. Each entry is
+  The logits are one rank-2 product, ``[s_dst, 1] @ [1; src]``: a broadcast
+  sum would run one short inner loop per row. Each entry is
   s_dst_i·1 + 1·src_j: both products are exact and the sum rounds once, so
   it is the broadcast sum bitwise but for the sign of an exact zero, which
   the leaky ReLU and exp map to the same value. Its row max is
@@ -79,8 +79,8 @@ Design notes
   ``np.where``: both run slow per-element loops. The leaky ReLU is ``max(y, slope·y)``
   and its gradient factor is the map ``neg·slope + ~neg``, exactly 1.0 or
   ``LEAKY_RELU_SLOPE``; ReLU is ``max(x, 0)`` and its backward reads
-  ``out > 0``, which is exactly ``x > 0``. Each gives the same bytes as the
-  select it replaces, ±0.0 and subnormals included.
+  ``out > 0``, which is exactly ``x > 0``. Each gives the same bytes as a
+  select, ±0.0 and subnormals included.
 * The backward uses rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention): the
   softmax backward's row term is a dot product over dh, not a map product
   reduced over n_k. It holds with dropout, because O is the output after

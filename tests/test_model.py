@@ -14,11 +14,11 @@ from graphfuse import tensor as T
 from graphfuse.data import LabelVocab, Sentence, TokenVocab, make_batches
 from graphfuse.decoder import decode_refine
 from graphfuse.encoder import encode
-from graphfuse.errors import ConfigError, ContractError
+from graphfuse.errors import ConfigError, ContractError, DegenerateBatchError
 from graphfuse.gat import edge_alpha, gat_forward
 from graphfuse.graph import build_fully_connected
 from graphfuse.layers import named_parameters
-from graphfuse.model import ModelConfig, TokenClassifier
+from graphfuse.model import VARIANTS, ModelConfig, TokenClassifier
 from graphfuse.rng import RngState
 from graphfuse.tensor import Tensor
 
@@ -339,8 +339,8 @@ def test_attention_heads_are_private_to_the_attention_ops():
     """Each attention takes its inputs straight from their projections: the
     head split lives inside ``T.attention``, and the GAT's per-head
     projection and score halves inside ``T.graph_attention``, so a
-    relational-full training pass records 33 nodes and none of them permutes
-    heads."""
+    relational-full training pass records 32 nodes and none of them permutes
+    heads. The GAT multiplies no pad mask into its output."""
     model, batches = build_world("full", seed=5, d_emb=32, d=32, gat_hidden=32,
                                  gat_heads=8, dec_heads=8)
     loss = model.loss(batches[0], RngState(3), training=True)
@@ -351,7 +351,52 @@ def test_attention_heads_are_private_to_the_attention_ops():
         assert [op_name(p) for p in node._parents] == ["linear"] * 3
     [gat] = [node for node in recorded if op_name(node) == "graph_attention"]
     assert [op_name(p) for p in gat._parents] == ["linear", None, None, None]
-    assert len(recorded) == 33
+    assert len(recorded) == 32
+
+
+@pytest.mark.parametrize("enc_layers", [0, 1])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_batch_with_no_tokens(variant, enc_layers):
+    """``forward`` alone checks for n = 0: it gives (B, 0, L) logits and runs
+    no stage, so ``loss`` raises DegenerateBatchError and ``predict_batch``
+    gives each sentence ``[]``."""
+    model, _ = build_world(variant, enc_layers=enc_layers)
+    [batch] = make_batches([Sentence([], [])] * 3, 4, 16, model.token_vocab,
+                           model.label_vocab)
+    L = model.config.n_labels
+    collect = {}
+    assert model.forward(batch, collect=collect).shape == (3, 0, L)
+    assert collect == {}
+    for training in (True, False):
+        with pytest.raises(DegenerateBatchError):
+            model.loss(batch, RngState(0), training=training)
+    assert model.predict_batch(batch) == [[], [], []]
+
+
+def test_pad_rows_of_the_gat_output_do_not_matter(monkeypatch):
+    """Pad keys get exactly zero weight and the loss gives pad logits an
+    exactly zero gradient, so zeroing the GAT's pad rows changes the pad
+    logits only: the loss and every gradient keep their bytes."""
+    model, batches = build_world("full", n_sents=6, enc_layers=1)
+    batch = next(b for b in batches if min(b.lengths) < b.token_ids.shape[1])
+    real = np.arange(batch.token_ids.shape[1]) < np.asarray(batch.lengths)[:, None]
+
+    def run():
+        model.zero_grad()
+        loss = model.loss(batch, RngState(3), training=True)
+        loss.backward()
+        return model.forward(batch).data, loss.data.tobytes(), model.flat.grad.copy()
+
+    def masked_gat(H, lengths, params, drop):
+        return gat_forward(H, lengths, params, drop) * real[..., None]
+
+    logits, loss, grad = run()
+    monkeypatch.setattr(model_module, "gat_forward", masked_gat)
+    masked_logits, masked_loss, masked_grad = run()
+    assert masked_logits[real].tobytes() == logits[real].tobytes()
+    assert (masked_logits[~real] != logits[~real]).any()
+    assert masked_loss == loss
+    assert masked_grad.tobytes() == grad.tobytes()
 
 
 def test_dropout_rate_has_one_owner():

@@ -340,7 +340,7 @@ class TestFusedAttention:
             # to its noise: batch 0's real rows give each head both signs
             rows = logits[0, :, :3, :3]
             assert ((rows.max(-1) > 0) & (rows.min(-1) < 0)).any(axis=-1).all()
-            # no gradient on the pad rows' outputs, as gat_forward's pad mask
+            # no gradient on the pad rows' outputs, as the loss gives none
             w *= length_mask(LENGTHS, 5)[..., None]
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
 
