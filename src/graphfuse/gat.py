@@ -10,9 +10,10 @@ pad row's output has no defined value; the loss ignores it. Heads are
 concatenated and projected back to d.
 
 ``T.graph_attention`` takes the (B, n, d) features, ``W`` and the two
-score vectors: it projects each head, forms the score halves, their pairwise
-sums (as one rank-2 product), the leaky ReLU, the masked softmax, the
-attention dropout and the product with W h as one node. It returns (B, n, heads·d_head), the heads
+score vectors: it projects each head, forms the score halves, the masked
+softmax weights of their leaky-ReLU'd pairwise sums (from per-node
+exponentials, as the attention is static), the attention dropout and the
+product with W h as one node. It returns (B, n, heads·d_head), the heads
 side by side, so the ELU, the dropout and the projection take its output as
 it is and no code here sees a head-major layout.
 """

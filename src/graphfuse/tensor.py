@@ -33,8 +33,9 @@ Design notes
   log-sum-exp is detached, which is exact because the shift cancels in the
   gradient.
 * Each attention map is one node that holds one (B, h, n, n) float64
-  buffer, the unnormalised weights E = exp(logits − row max); the pad
-  scores, shift and exp run in place in it. The forward normalises after
+  buffer, the unnormalised weights E = exp(logits − row max); in
+  ``attention`` the pad scores, shift and exp run in place in it, and the
+  GAT builds it from per-node exponentials. The forward normalises after
   the value product (FlashAttention, Dao et al. 2022): ``E @ [v | 1]`` is
   one product whose last column is the row sum Z, so the weights E / Z are
   never formed and no map-sized sum or divide runs. Each row's max entry
@@ -45,8 +46,8 @@ Design notes
   the heads side by side, so no model code permutes axes.
 * Both ops take ``lengths``, each sample's count of real tokens; the keys
   after them are that sample's pads, set to ``MASK_NEG`` (the constant's one
-  owner) by slice. Both hand their shifted logits to one forward/backward
-  pair, ``_softmax_value`` and ``_softmax_value_backward``.
+  owner) by slice. Both hand their weights E to one forward/backward pair,
+  ``_softmax_value`` and ``_softmax_value_backward``.
 * ``attention(q, k, v, lengths, n_heads)`` is multi-head
   ``softmax(q @ kᵀ / √dh) @ v``. It takes the (B, n, d) projections and
   splits the heads with reshape and transpose views; its gradients go back
@@ -55,19 +56,24 @@ Design notes
 * ``graph_attention(h, w, a_dst, a_src, lengths, keep)`` is the GAT's
   ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. It takes the
   (B, n, d) features and forms the head-major ``wh = h @ w``, with ``w``
-  (heads, d, dh), and the score halves ``s = wh · a`` itself. Pads get
-  ``MASK_NEG`` as their source score, so no pad pass over the map is needed.
-  The logits are one rank-2 product, ``[s_dst, 1] @ [1; src]``: a broadcast
-  sum would run one short inner loop per row. Each entry is
-  s_dst_i·1 + 1·src_j: both products are exact and the sum rounds once, so
-  it is the broadcast sum bitwise but for the sign of an exact zero, which
-  the leaky ReLU and exp map to the same value. Its row max is
-  ``leaky_relu(s_dst_i + max_j s_src_j)``, taken on vectors: x -> fl(s_dst_i
-  + x) and the leaky ReLU are monotone, so this is exactly the max over the
-  map's row. With dropout, Z is one product ``E @ 1`` and the output is
+  (heads, d, dh), and both score halves as one product ``h @ U``, U's
+  columns each head's ``w @ a_dst`` and ``w @ a_src``. Pads get
+  ``MASK_NEG`` as their source score. GAT v1 attention is static (Brody et
+  al. 2022): with m = max_j s_src_j and top_i = s_dst_i + m, the row max is
+  t_i = leaky_relu(top_i), as x -> fl(s_dst_i + x) and the leaky ReLU are
+  monotone, and E_ij = max(a_i·b_j, c_i·d_j) with a_i, c_i = exp([top_i,
+  slope·top_i] − t_i) and b_j, d_j = exp([1, slope]·(s_src_j − m)).
+  All four factors lie in [0, 1], one of a_i and c_i is exactly 1 and a
+  pad key's b_j and d_j are exactly 0. The map work is two outer products,
+  each a rank-2 product with a zero term, and one ``maximum`` (numpy's
+  rank-1 product took 218 against 47 µs for rank 2 at (16, 8, 31, 31),
+  one BLAS thread). E differs from exp(leaky_relu(logits) − t) by rounding
+  only. With dropout, Z is one product ``E @ 1`` and the output is
   ``((E∘keep) @ wh) / Z``. Besides E and Z it keeps the dropout mask and
-  the two (B, heads, n, 2) factors of the product; the backward takes the
-  logit signs as that same product ``< 0``, so no sign map is kept.
+  the score halves; the backward takes the logit signs as the rank-2
+  product ``[s_dst, 1] @ [1; s_src] < 0``, so no sign map is kept. Each
+  entry is s_dst_i·1 + 1·s_src_j: both products are exact and the sum
+  rounds once, so it is ``< 0`` exactly where the broadcast sum is.
 * Each float row max (the attention map's shift, the GAT's source-score
   max and the loss's log-sum-exp shift) is ``_row_max``: the entry at the
   row's argmax, read with ``take_along_axis``. A max is exact in any order,
@@ -76,11 +82,12 @@ Design notes
   short last axis runs about 70 ns per row; argmax and the gather cost less
   at n = 12, 36 and 128 alike.
 * No map pass runs a masked ufunc (numpy's ``where`` keyword) or a scalar
-  ``np.where``: both run slow per-element loops. The leaky ReLU is ``max(y, slope·y)``
-  and its gradient factor is the map ``neg·slope + ~neg``, exactly 1.0 or
-  ``LEAKY_RELU_SLOPE``; ReLU is ``max(x, 0)`` and its backward reads
-  ``out > 0``, which is exactly ``x > 0``. Each gives the same bytes as a
-  select, ±0.0 and subnormals included.
+  ``np.where``: both run slow per-element loops. The leaky ReLU of the
+  GAT's row tops is ``max(y, slope·y)`` and its gradient factor is the map
+  ``neg·slope + ~neg``, exactly 1.0 or ``LEAKY_RELU_SLOPE``; ReLU is
+  ``max(x, 0)`` and its backward reads ``out > 0``, which is exactly
+  ``x > 0``. Each gives the same bytes as a select, ±0.0 and subnormals
+  included.
 * The backward uses rowsum(dP∘P) = rowsum(dO∘O) (FlashAttention): the
   softmax backward's row term is a dot product over dh, not a map product
   reduced over n_k. It holds with dropout, because O is the output after
@@ -320,9 +327,8 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax_value(e: np.ndarray, v: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray]:
-    """The output ``(softmax(e)∘keep) @ v`` and the row sums Z. ``e`` holds the
-    shifted logits and becomes the unnormalised weights E in place."""
-    np.exp(e, out=e)
+    """The output ``((e / Z)∘keep) @ v`` and the row sums Z of the
+    unnormalised weights ``e``."""
     if keep is None:
         d = v.shape[-1]
         v1 = np.empty((*v.shape[:-1], d + 1))
@@ -383,6 +389,7 @@ def attention(q, k, v, lengths: list[int], n_heads: int) -> Tensor:
     for b, length in enumerate(lengths):
         e[b, ..., length:] = MASK_NEG
     e -= _row_max(e)
+    np.exp(e, out=e)
     out, z = _softmax_value(e, vh, None)
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
@@ -411,7 +418,7 @@ def graph_attention(h, w, a_dst, a_src, lengths: list[int],
     ``keep`` is the (B, heads, n, n) inverted-dropout mask, or None in eval
     mode. The result is (B, n, heads·dh), the heads side by side. The node
     keeps the unnormalised weights, their row sums, ``keep``, the projected
-    features and the two factors of the logit product.
+    features and the two (B, heads, n) score halves.
     """
     h, w = _ensure_tensor(h), _ensure_tensor(w)
     a_dst, a_src = _ensure_tensor(a_dst), _ensure_tensor(a_src)
@@ -429,21 +436,29 @@ def graph_attention(h, w, a_dst, a_src, lengths: list[int],
     a_d = a_dst.data.reshape(1, heads, 1, dh)
     a_s = a_src.data.reshape(1, heads, 1, dh)
     slope = LEAKY_RELU_SLOPE
-    # the logits s_dst_i + src_j are the rank-2 product [s_dst, 1] @ [1; src]
-    lhs = np.ones((B, heads, n, 2))
-    rhs = np.ones((B, heads, 2, n))
-    s_dst, src = lhs[..., 0], rhs[..., 1, :]            # (B, heads, n) views
-    s_dst[...] = (wh * a_d).sum(-1)
-    src[...] = (wh * a_s).sum(-1)
+    # both score halves of every head as one product h @ U: U's column
+    # k is head k's W a_dst and column heads + k its W a_src
+    u = np.matmul(w.data, np.stack([a_dst.data, a_src.data], axis=-1))
+    s = h.data.reshape(-1, d) @ u.transpose(1, 2, 0).reshape(d, 2 * heads)
+    s_dst, s_src = s.reshape(B, n, 2, heads).transpose(2, 0, 3, 1)
     for b, length in enumerate(lengths):
-        src[b, :, length:] = MASK_NEG
-    e = np.matmul(lhs, rhs)
-    np.maximum(e, e * slope, out=e)
-    # the row max, exactly: x -> fl(s_dst_i + x) and the leaky ReLU are
-    # monotone, so max_j of the logits is the logit of max_j src_j
-    top = s_dst + _row_max(src)
-    np.maximum(top, top * slope, out=top)
-    e -= top[..., None]
+        s_src[b, :, length:] = MASK_NEG
+    # E_ij = exp(leaky_relu(s_dst_i + s_src_j) - t_i) = max(a_i b_j, c_i d_j):
+    # the leaky ReLU is the larger of its two linear sides, and each side's
+    # exp is a query factor times a key factor. The row max t_i is the leaky
+    # ReLU of top_i = s_dst_i + max_j s_src_j, exactly (both are monotone)
+    m = _row_max(s_src)
+    top = s_dst + m
+    ac = np.stack([top, top * slope], axis=-1)          # (B, heads, n, 2)
+    ac -= np.maximum(ac[..., :1], ac[..., 1:])
+    np.exp(ac, out=ac)                                  # [a | c]
+    x = s_src - m
+    bd = np.zeros((B, heads, 3, n))                     # rows b, 0, d
+    np.exp(x, out=bd[..., 0, :])
+    np.exp(x * slope, out=bd[..., 2, :])
+    # [a | c] @ [b; 0] is a_i b_j exactly, and [a | c] @ [0; d] is c_i d_j
+    e = np.matmul(ac, bd[..., :2, :])
+    np.maximum(e, np.matmul(ac, bd[..., 1:, :]), out=e)
     out, z = _softmax_value(e, wh, keep)
     need_h, need_w = h.requires_grad, w.requires_grad
     need_dst, need_src = a_dst.requires_grad, a_src.requires_grad
@@ -452,7 +467,12 @@ def graph_attention(h, w, a_dst, a_src, lengths: list[int],
         gs, gwh = _softmax_value_backward(_split_heads(g, heads), e, z, wh, out,
                                           keep, need_h or need_w)
         # the leaky ReLU's factor: exactly the slope at a negative logit, 1.0
-        # elsewhere; the product rebuilds the logits before the leaky ReLU
+        # elsewhere; the logits s_dst_i + s_src_j are the rank-2 product
+        # [s_dst, 1] @ [1; s_src]
+        lhs = np.ones((B, heads, n, 2))
+        rhs = np.ones((B, heads, 2, n))
+        lhs[..., 0] = s_dst
+        rhs[..., 1, :] = s_src
         neg = np.matmul(lhs, rhs) < 0
         f = neg * slope
         f += ~neg

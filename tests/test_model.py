@@ -298,10 +298,11 @@ def graph_nodes(loss):
 
 
 def buffers_of_shape(loss, shape):
-    """The dtype of each buffer that the graph behind ``loss`` keeps alive
-    and sees with ``shape``: through a node's ``.data`` or an array in its
-    backward closure's cells. Views count with the buffer they look into."""
-    dtypes: dict[int, np.dtype] = {}
+    """The root buffer of each array that the graph behind ``loss`` keeps
+    alive and sees with ``shape``: through a node's ``.data`` or an array in
+    its backward closure's cells. A view counts as the whole buffer it looks
+    into, so a map held as a slice of a larger buffer keeps all of it."""
+    roots: dict[int, np.ndarray] = {}
     for node in graph_nodes(loss):
         cells = (node._backward_fn.__closure__ or ()) if node._backward_fn else ()
         for value in [node.data, *(cell.cell_contents for cell in cells)]:
@@ -309,23 +310,24 @@ def buffers_of_shape(loss, shape):
                 root = value
                 while root.base is not None:
                     root = root.base
-                dtypes[id(root)] = value.dtype
-    return list(dtypes.values())
+                roots[id(root)] = root
+    return list(roots.values())
 
 
 def test_training_graph_keeps_four_attention_maps():
     """A full training graph keeps one float64 (B, heads, n, n) map per
-    attention, the weights, plus the GAT's dropout mask: 4 in all. The GAT's
-    backward rebuilds the logit signs from the two factors of its rank-2
-    logit product, so no bool map is kept."""
+    attention, the weights, plus the GAT's dropout mask: 4 maps' worth of
+    bytes in all. The GAT's backward rebuilds the logit signs from the two
+    score halves, so no bool map is kept."""
     model, batches = build_world("full", seed=5, d_emb=32, d=32, gat_hidden=32,
                                  gat_heads=8, dec_heads=8)
     batch = batches[0]
     B, n = batch.token_ids.shape
     loss = model.loss(batch, RngState(3), training=True)
-    maps = buffers_of_shape(loss, (B, 8, n, n))
-    assert maps.count(np.float64) <= 4
-    assert maps.count(np.bool_) == 0
+    roots = buffers_of_shape(loss, (B, 8, n, n))
+    kept = sum(r.nbytes for r in roots if r.dtype == np.float64)
+    assert kept <= 4 * B * 8 * n * n * np.dtype(np.float64).itemsize
+    assert not any(r.dtype == np.bool_ for r in roots)
 
 
 def op_name(node):

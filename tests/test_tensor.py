@@ -107,8 +107,8 @@ def fused_op(op, *inputs):
 
 
 def projected(h, w, a_dst, a_src):
-    """The GAT's head-major W h and its (B, heads, n) score halves, by the
-    numpy calls ``T.graph_attention`` makes."""
+    """The GAT's head-major W h and its (B, heads, n) score halves, composed
+    as W h and its dot products with a_dst and a_src."""
     wh = np.matmul(h[:, None], w)
     return wh, (wh * a_dst[:, None]).sum(-1), (wh * a_src[:, None]).sum(-1)
 
@@ -149,6 +149,12 @@ def score_grads(h):
     routes into ``h.grad``."""
     g = heads(h.grad, h.grad.shape[-1] // 3)
     return g[..., 1], g[..., 0]
+
+
+def kept(node, name):
+    """The value that ``node``'s backward closure keeps under ``name``."""
+    fn = node._backward_fn
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
 
 
 def value_grad_only(g):
@@ -253,7 +259,8 @@ class TestSoftmax:
 
 class TestRowMaxAndLogitProduct:
     """The exact shortcuts inside the fused ops: the row max read at the
-    argmax, and the GAT logits s_dst_i + src_j as one rank-2 product."""
+    argmax, and the GAT backward's logits s_dst_i + src_j as one rank-2
+    product."""
 
     @pytest.mark.parametrize("shape", [(8, 5), (3, 6, 5), (2, 3, 6, 5),
                                        (8, 1), (2, 4, 1)])
@@ -300,14 +307,59 @@ class TestRowMaxAndLogitProduct:
                                       s_dst[..., None] < -src[..., None, :])
 
 
+class TestFactorisedGatWeights:
+    """``T.graph_attention`` builds its unnormalised weights as
+    max(a_i b_j, c_i d_j) from per-node exponentials, each in [0, 1]."""
+
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300]
+
+    @pytest.mark.parametrize("big", [[], [700.0], [1e4], [700.0, 1e4]])
+    def test_extreme_score_halves_match_the_oracle(self, big):
+        # every score half is one of these values, so the oracle's sums are
+        # exact or absorbed and it rounds no worse than the op
+        values = np.array(self.SPECIAL + [x * sign for x in big for sign in (1, -1)])
+        n, lengths = len(values), [len(values), len(values) - 2, 1]
+        rng = RngState(24)
+        s_dst, s_src = (values[np.stack([[rng.permutation(n) for _ in range(3)]
+                                         for _ in lengths])] for _ in range(2))
+        h, w, a_dst, a_src = from_score_halves(s_dst, s_src, rng.normal((3, 3, n)))
+        with attention_maps() as weights:
+            out = T.graph_attention(Tensor(h, requires_grad=True), w, a_dst,
+                                    a_src, lengths, None)
+        logits = leaky_relu(s_dst[..., None] + s_src[..., None, :])
+        want = masked_softmax(logits, length_mask(lengths, n))
+        assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
+        if big:
+            real = np.where(length_mask(lengths, n)[:, None, None], logits, -np.inf)
+            assert (real - real.max(axis=-1, keepdims=True) < -745).any()
+        for b, length in enumerate(lengths):
+            assert (weights[0][b, ..., length:] == 0.0).all()
+        assert (weights[0][2, ..., 0] == 1.0).all()
+        e = kept(out, "e")
+        np.testing.assert_array_equal(e.max(axis=-1), 1.0)
+        assert ((0.0 <= e) & (e <= 1.0)).all()
+
+    @pytest.mark.parametrize("keep", [None, KEEP])
+    def test_zero_length_sample_gives_finite_outputs(self, keep):
+        arrays = fused_inputs("graph_attention", RngState(25))
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = T.graph_attention(*tensors, [3, 0], keep)
+        assert np.isfinite(out.data).all()
+        total(out * RngState(26).normal(out.shape)).backward()
+        assert all(np.isfinite(t.grad).all() for t in tensors)
+
+
 class TestFusedAttention:
     @pytest.mark.parametrize("op", FUSED_OPS)
     def test_forward_equals_oracle_composition(self, op):
         inputs = fused_inputs(op, RngState(22))
         with attention_maps() as weights:
-            out = fused_op(op, *inputs)
+            out = fused_op(op, *(Tensor(a, requires_grad=True) for a in inputs))
         want, values = oracle(op, inputs)
         assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
+        # each row's largest unnormalised weight is 1, so Z is 1 / max weight
+        z, z_want = kept(out, "z"), 1.0 / want.max(axis=-1, keepdims=True)
+        assert np.abs(z - z_want).max() <= 1e-15 * z_want.max()
         dropped = want * KEEP if op == "graph_attention_keep" else want
         mixed = merged(dropped @ values)
         assert np.abs(out.data - mixed).max() <= 1e-15 * np.abs(mixed).max()
@@ -380,8 +432,11 @@ class TestPointwise:
         with attention_maps() as weights:
             out = T.graph_attention(h, w, a_dst, a_src, [7], None)
         y = weights[0]
-        assert y.tobytes() == masked_softmax(
-            np.broadcast_to(want, (1, 1, 7, 7)), length_mask([7], 7)).tobytes()
+        # the weights come from per-node exponentials, not from a leaky ReLU
+        # of the map, so they round differently
+        ref = masked_softmax(np.broadcast_to(want, (1, 1, 7, 7)),
+                             length_mask([7], 7))
+        assert np.abs(y - ref).max() <= 1e-15 * np.abs(ref).max()
         # the gradient factor is 1.0 at -0.0, 0.0 and 1e-300 and the slope
         # at -1e-300, as in where(x >= 0, 1, slope)
         total(out * g).backward()
