@@ -251,7 +251,7 @@ def make_batches(corpus: Corpus, batch_size: int, max_len: int,
                                      np.int64, len(corpus)), max_len)
     mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
     total = int(lengths.sum())
-    token_ids = np.zeros(mask.shape, dtype=np.int64)  # 0 == pad id
+    token_ids = np.full(mask.shape, token_vocab.pad_id, dtype=np.int64)
     token_ids[mask] = token_vocab.encode_all(
         chain.from_iterable(s.tokens[:max_len] for s in corpus), total)
     label_ids = np.full(mask.shape, IGNORE_INDEX, dtype=np.int64)

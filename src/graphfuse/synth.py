@@ -6,7 +6,7 @@ Three generators with one knob set:
   per-token model solves it; it anchors convergence tests.
 * ``window`` — the label depends on the *previous* token (a sequential cue).
 * ``relational-match`` — whether a token is labeled B-DUP or B-UNIQ depends
-  on whether its twin occurs elsewhere in the sentence, at least ``min_gap``
+  on whether its twin occurs elsewhere in the sentence, at least ``MIN_GAP``
   tokens away. The cue is order-free and long-range: provably invisible to
   any fixed 5-token window, but trivially visible on a complete token graph.
   One deterministic key token per sentence (B-KEY) gives purely local models
@@ -26,6 +26,12 @@ from .rng import RngState
 
 KINDS = ("copy", "window", "relational-match")
 
+# relational-match: the least distance between twins, and the number of
+# probe and key token types
+MIN_GAP = 20
+N_PROBES = 10
+N_KEYS = 4
+
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -37,10 +43,6 @@ class TaskSpec:
     n_train: int = 500
     n_valid: int = 100
     n_test: int = 200
-    # relational-match knobs
-    min_gap: int = 20
-    n_probes: int = 10
-    n_keys: int = 4
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -54,17 +56,15 @@ class TaskSpec:
         if self.vocab_size < 4:
             raise ConfigError(f"vocab_size too small: {self.vocab_size}")
         if self.kind == "relational-match":
-            if self.len_min < self.min_gap + 2:
+            if self.len_min < MIN_GAP + 2:
                 raise ConfigError(
                     f"len_min {self.len_min} cannot host a duplicate pair "
-                    f"{self.min_gap} apart plus a key token")
-            n_fillers = self.vocab_size - self.n_probes - self.n_keys
+                    f"{MIN_GAP} apart plus a key token")
+            n_fillers = self.vocab_size - N_PROBES - N_KEYS
             if n_fillers < self.len_max:
                 raise ConfigError(
                     f"need at least len_max={self.len_max} filler tokens for "
                     f"all-distinct fill, have {n_fillers}")
-            if self.n_probes < 1 or self.n_keys < 1:
-                raise ConfigError("relational-match needs probes and keys")
 
 
 def copy_spec(seed: int = 0, **overrides) -> TaskSpec:
@@ -95,10 +95,9 @@ def window_triggers(spec: TaskSpec) -> set[str]:
 
 
 def relational_vocab(spec: TaskSpec) -> tuple[list[str], list[str], list[str]]:
-    probes = [f"p{i:02d}" for i in range(spec.n_probes)]
-    keys = [f"k{i}" for i in range(spec.n_keys)]
-    fillers = [f"f{i:02d}" for i in
-               range(spec.vocab_size - spec.n_probes - spec.n_keys)]
+    probes = [f"p{i:02d}" for i in range(N_PROBES)]
+    keys = [f"k{i}" for i in range(N_KEYS)]
+    fillers = [f"f{i:02d}" for i in range(spec.vocab_size - N_PROBES - N_KEYS)]
     return probes, keys, fillers
 
 
@@ -124,8 +123,8 @@ def _gen_relational(spec: TaskSpec, rng: RngState) -> Sentence:
     key = keys[int(rng.integers(0, len(keys)))]
     duplicated = bool(rng.bernoulli(0.5))
     if duplicated:
-        x1 = int(rng.integers(0, n - spec.min_gap))
-        x2 = int(rng.integers(x1 + spec.min_gap, n))
+        x1 = int(rng.integers(0, n - MIN_GAP))
+        x2 = int(rng.integers(x1 + MIN_GAP, n))
         probe_positions = [x1, x2]
     else:
         probe_positions = [int(rng.integers(0, n))]

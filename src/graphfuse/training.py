@@ -26,14 +26,14 @@ from .rng import RngState
 
 ADAM_BETAS = (0.9, 0.999)  # decay rates of the first and second moments
 ADAM_EPS = 1e-8            # added to the root of the second moment
+WEIGHT_DECAY = 0.01        # decoupled decay of the matrices, per unit lr
+CLIP_NORM = 1.0            # global L2 norm the gradients are clipped to
+WARMUP_RATIO = 0.1         # share of the steps the lr warms up over
 
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 5e-5
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
-    warmup_ratio: float = 0.1
     batch_size: int = 16
     epochs: int = 15
     max_len: int = 128
@@ -41,18 +41,13 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ConfigError(f"warmup_ratio must lie in [0,1), got {self.warmup_ratio}")
-        if not 0 < self.clip_norm < math.inf:  # NaN fails every comparison
-            raise ConfigError(f"clip_norm must be positive and finite, got {self.clip_norm}")
-        if self.early_stop_patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.early_stop_patience}")
-        for key in ("learning_rate", "weight_decay"):
+        if not 0 <= self.learning_rate < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"learning_rate must be >= 0 and finite, "
+                              f"got {self.learning_rate}")
+        for key in ("batch_size", "epochs", "max_len", "early_stop_patience"):
             value = getattr(self, key)
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"{key} must be >= 0 and finite, got {value}")
-        if self.epochs < 1 or self.batch_size < 1 or self.max_len < 1:
-            raise ConfigError("epochs, batch_size and max_len must all be >= 1")
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -92,8 +87,7 @@ class OptState:
         self.step = 0
 
 
-def adamw_step(flat: FlatParams, state: OptState, lr: float,
-               config: TrainConfig) -> None:
+def adamw_step(flat: FlatParams, state: OptState, lr: float) -> None:
     """One decoupled-weight-decay Adam update of ``flat.data``, in place,
     from the gradients in ``flat.grad``."""
     if state.m.size != flat.data.size:
@@ -113,8 +107,7 @@ def adamw_step(flat: FlatParams, state: OptState, lr: float,
     np.sqrt(update, out=update)
     update += ADAM_EPS
     np.divide(m / bc1, update, out=update)
-    if config.weight_decay:
-        update[:flat.n_decayed] += config.weight_decay * flat.data[:flat.n_decayed]
+    update[:flat.n_decayed] += WEIGHT_DECAY * flat.data[:flat.n_decayed]
     update *= lr
     flat.data -= update
 
@@ -175,10 +168,10 @@ def train(model: TokenClassifier, corpora: dict[str, Corpus],
                 raise TrainingDivergedError(
                     f"non-finite loss ({value}) at optimizer step {global_step}")
             loss.backward()
-            clip_gradients(grads, config.clip_norm)
-            lr = lr_schedule(global_step, total_steps, config.warmup_ratio,
+            clip_gradients(grads, CLIP_NORM)
+            lr = lr_schedule(global_step, total_steps, WARMUP_RATIO,
                              config.learning_rate)
-            adamw_step(flat, state, lr, config)
+            adamw_step(flat, state, lr)
             epoch_loss += value
             global_step += 1
 

@@ -47,12 +47,13 @@ BAD_CONFIGS = {
     "negative-eps": ({"train": {"eps": -1}},
                      "unknown config key(s): train.eps"),
     "negative-weight-decay": ({"train": {"weight_decay": -5}},
-                              "weight_decay must be >= 0"),
-    # json reads NaN; a NaN used to pass validation and fail the first step
+                              "unknown config key(s): train.weight_decay"),
     "nan-weight-decay": ({"train": {"weight_decay": float("nan")}},
-                         "weight_decay must be >= 0 and finite"),
+                         "unknown config key(s): train.weight_decay"),
     "nan-clip-norm": ({"train": {"clip_norm": float("nan")}},
-                      "clip_norm must be positive and finite"),
+                      "unknown config key(s): train.clip_norm"),
+    "warmup-ratio": ({"train": {"warmup_ratio": 0.1}},
+                     "unknown config key(s): train.warmup_ratio"),
 }
 
 # commands that hit an OS error, each of which must end in exit 2; {file} is
@@ -118,6 +119,8 @@ class TestTrain:
         blob = json.loads((run / "config.json").read_text())
         assert blob["train"]["epochs"] == 12   # from the copy preset
         assert blob["model"]["gat_heads"] == 8
+        assert set(blob["train"]) == {"learning_rate", "batch_size", "epochs",
+                                      "max_len", "early_stop_patience", "seed"}
 
     def test_history_rows(self, workdir):
         lines = (workdir / "run" / "history.jsonl").read_text().splitlines()

@@ -11,6 +11,7 @@ from graphfuse.data import serialize_conll
 from graphfuse.errors import ConfigError
 from graphfuse.synth import (
     KINDS,
+    MIN_GAP,
     TaskSpec,
     copy_label,
     copy_spec,
@@ -34,9 +35,9 @@ class TestSpecs:
         with pytest.raises(ConfigError):
             TaskSpec(len_min=10, len_max=5).validate()
         with pytest.raises(ConfigError):
-            # too short for a guaranteed min_gap placement
-            TaskSpec(kind="relational-match", len_min=10, len_max=36,
-                     min_gap=20).validate()
+            # too short for a guaranteed MIN_GAP placement
+            TaskSpec(kind="relational-match", len_min=MIN_GAP + 1,
+                     len_max=36).validate()
 
     def test_split_sizes(self):
         splits = generate(copy_spec(seed=5))
@@ -109,7 +110,7 @@ class TestRelationalTask:
                 if twins:
                     saw_dup = True
                     assert len(twins) == 1
-                    assert abs(twins[0] - i) >= spec.min_gap
+                    assert abs(twins[0] - i) >= MIN_GAP
                 else:
                     saw_uniq = True
         assert saw_dup and saw_uniq

@@ -14,6 +14,7 @@ from graphfuse.tensor import Tensor
 from graphfuse.training import (
     ADAM_BETAS,
     ADAM_EPS,
+    WEIGHT_DECAY,
     OptState,
     TrainConfig,
     adamw_step,
@@ -86,10 +87,6 @@ class TestClipping:
         assert clip_gradients([g], 1.0) == 1.0
 
 
-def opt_config(weight_decay=0.0):
-    return TrainConfig(weight_decay=weight_decay)
-
-
 def laid_out(params, grads=None):
     """``params`` moved into a FlatParams, each gradient set to ``grads[name]``
     (zero when not given), and a fresh OptState for that layout."""
@@ -107,7 +104,7 @@ def slot(flat, p, buffer):
 
 class TestAdamW:
     def test_scalar_hand_oracle(self):
-        """theta=1, g=1, lr=0.1, betas=(0.9,0.999), eps=1e-8, wd=0.01.
+        """theta=1, g=1, lr=0.1, betas=(0.9,0.999), eps=1e-8, wd=WEIGHT_DECAY.
 
         m1=0.1, v1=0.001; mhat=1, vhat=1
         update = 1/(1+1e-8) + 0.01*1
@@ -115,8 +112,8 @@ class TestAdamW:
         """
         p = Tensor(np.array([[1.0]]), requires_grad=True)  # a matrix decays
         flat, state = laid_out({"w": p}, {"w": np.array([[1.0]])})
-        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.01))
-        expect = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.01)
+        adamw_step(flat, state, 0.1)
+        expect = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8) + WEIGHT_DECAY)
         assert p.data[0, 0] == pytest.approx(expect, abs=1e-15)
         assert state.step == 1
         assert state.m[0] == pytest.approx(0.1)
@@ -124,13 +121,12 @@ class TestAdamW:
 
     def test_two_steps_match_manual_recurrence(self):
         p = Tensor(np.array([0.5]), requires_grad=True)
-        flat, state = laid_out({"w": p})
-        cfg = opt_config()
+        flat, state = laid_out({"w": p})  # a vector: no decay
         m = v = 0.0
         theta = 0.5
         for step, g in enumerate([0.3, -0.2], start=1):
             p.grad[...] = g
-            adamw_step(flat, state, 0.05, cfg)
+            adamw_step(flat, state, 0.05)
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mh = m / (1 - 0.9 ** step)
@@ -144,34 +140,33 @@ class TestAdamW:
         gain = Tensor(np.array([1.0]), requires_grad=True)
         flat, state = laid_out({"lin.w": w, "lin.b": b, "blk.norm1.gain": gain})
         assert flat.n_decayed == 1
-        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.5))
+        adamw_step(flat, state, 0.1)
         # zero gradient => only decay moves parameters
-        assert w.data[0, 0] == pytest.approx(1.0 - 0.1 * 0.5 * 1.0)
+        assert w.data[0, 0] == pytest.approx(1.0 - 0.1 * WEIGHT_DECAY * 1.0)
         assert b.data[0] == 1.0
         assert gain.data[0] == 1.0
 
     def test_decay_uses_pre_step_theta(self):
         p = Tensor(np.array([[2.0]]), requires_grad=True)
         flat, state = laid_out({"w": p}, {"w": np.array([[1.0]])})
-        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.1))
-        expect = 2.0 - 0.1 * (1.0 / (1.0 + 1e-8) + 0.1 * 2.0)
+        adamw_step(flat, state, 0.1)
+        expect = 2.0 - 0.1 * (1.0 / (1.0 + 1e-8) + WEIGHT_DECAY * 2.0)
         assert p.data[0, 0] == pytest.approx(expect, abs=1e-14)
 
     def test_other_parameters_than_laid_out_raise(self):
         flat, state = laid_out({"w": Tensor(np.zeros(2))}, {"w": np.ones(2)})
-        adamw_step(flat, state, 0.1, opt_config())
+        adamw_step(flat, state, 0.1)
         other, _ = laid_out({"u": Tensor(np.zeros(3))}, {"u": np.ones(3)})
         with pytest.raises(ContractError):
-            adamw_step(other, state, 0.1, opt_config())
+            adamw_step(other, state, 0.1)
 
     def test_step_leaves_gradients_alone(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         flat, state = laid_out({"w": p}, {"w": np.array([0.5, -3.0])})
-        adamw_step(flat, state, 0.1, opt_config(weight_decay=0.01))
+        adamw_step(flat, state, 0.1)
         assert np.array_equal(p.grad, [0.5, -3.0])
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    def test_flat_update_bitwise_equals_per_parameter_reference(self, weight_decay):
+    def test_flat_update_bitwise_equals_per_parameter_reference(self):
         """Five steps over decayed and exempt names, in an interleaved order."""
         rng = RngState(3)
         shapes = {"enc.embedding": (5, 2), "enc.proj.w": (2, 3),
@@ -184,15 +179,14 @@ class TestAdamW:
         ref = {name: a.copy() for name, a in start.items()}
         flat, state = laid_out(params)
         ref_state = {}
-        cfg = TrainConfig(weight_decay=weight_decay)
         for step, lr in enumerate([0.1, 0.05, 0.2, 0.01, 0.3]):
             grads = {name: rng.normal(shape, std=10.0 ** (step - 2))
                      for name, shape in shapes.items()}
             for name, g in grads.items():
                 params[name].grad[...] = g
-            adamw_step(flat, state, lr, cfg)
+            adamw_step(flat, state, lr)
             adamw_step_reference(ref, grads, ref_state, lr, ADAM_BETAS,
-                                 ADAM_EPS, cfg.weight_decay)
+                                 ADAM_EPS, weight_decay=WEIGHT_DECAY)
             for name, p in params.items():
                 assert p.data.tobytes() == ref[name].tobytes(), name
                 assert (slot(flat, p, state.m).tobytes()
@@ -220,12 +214,11 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1.0).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(warmup_ratio=1.5).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(epochs=0).validate()
-        with pytest.raises(ConfigError, match="clip_norm must be positive"):
-            TrainConfig(clip_norm=0).validate()
+        # each value is named in its own message, with what it was set to
+        for key in ("batch_size", "epochs", "max_len", "early_stop_patience"):
+            with pytest.raises(ConfigError,
+                               match=f"^{key} must be >= 1, got 0$"):
+                TrainConfig(**{key: 0}).validate()
 
     def test_loss_decreases_and_history_shape(self):
         model, corpora = tiny_setup()
@@ -263,7 +256,7 @@ class TestTrainLoop:
     def test_zero_lr_is_noop(self):
         model, corpora = tiny_setup()
         before = {k: v.data.copy() for k, v in model.parameters().items()}
-        cfg = TrainConfig(learning_rate=0.0, weight_decay=0.0, epochs=1,
+        cfg = TrainConfig(learning_rate=0.0, epochs=1,
                           batch_size=8, max_len=16, seed=0,
                           early_stop_patience=10)
         train(model, corpora, cfg)
@@ -286,7 +279,7 @@ class TestTrainLoop:
         model, corpora = tiny_setup()
         # zero lr: micro-F1 never improves after epoch 1, so training stops
         # after patience more epochs
-        cfg = TrainConfig(learning_rate=0.0, weight_decay=0.0, epochs=20,
+        cfg = TrainConfig(learning_rate=0.0, epochs=20,
                           batch_size=8, max_len=16, seed=0,
                           early_stop_patience=2)
         result = train(model, corpora, cfg)
