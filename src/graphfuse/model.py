@@ -50,10 +50,10 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must cover pad+unk, got {self.vocab_size}")
         if self.n_labels < 2:
             raise ConfigError(f"n_labels must be >= 2, got {self.n_labels}")
-        if min(self.d_emb, self.d, self.gat_hidden, self.enc_heads,
-               self.gat_heads, self.dec_heads) < 1:
-            raise ConfigError("d_emb, d, gat_hidden and every heads count "
-                              "must be >= 1")
+        for key in ("d_emb", "d", "gat_hidden", "enc_heads", "gat_heads",
+                    "dec_heads"):
+            if (value := getattr(self, key)) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.d_emb % 2 != 0:
             raise ConfigError(f"d_emb must be even for sinusoidal positions, got {self.d_emb}")
         if self.enc_layers not in (0, 1, 2):

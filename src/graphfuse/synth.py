@@ -49,8 +49,9 @@ class TaskSpec:
             raise ConfigError(f"task kind must be one of {KINDS}, got {self.kind!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if min(self.n_train, self.n_valid, self.n_test) < 1:
-            raise ConfigError("all split sizes must be >= 1")
+        for key in ("n_train", "n_valid", "n_test"):
+            if (value := getattr(self, key)) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         if not 1 <= self.len_min <= self.len_max:
             raise ConfigError(f"bad length range [{self.len_min}, {self.len_max}]")
         if self.vocab_size < 4:

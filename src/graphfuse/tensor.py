@@ -29,19 +29,20 @@ Design notes
 * ``no_grad()`` suppresses graph construction (evaluation paths).
 * Fused primitives (linear, layer_norm, the two attention ops,
   masked_cross_entropy) carry closed-form backwards instead of being
-  composed from smaller ops; the max-shift inside each softmax and
+  composed from smaller ops; the per-row shift inside each softmax and
   log-sum-exp is detached, which is exact because the shift cancels in the
-  gradient.
+  gradient (a softmax's score gradient sums to zero over each row).
 * Each attention map is one node that holds one (B, h, n, n) float64
-  buffer, the unnormalised weights E = exp(logits − row max); in
-  ``attention`` the pad scores, shift and exp run in place in it, and the
-  GAT builds it from per-node exponentials. The forward normalises after
-  the value product (FlashAttention, Dao et al. 2022): ``E @ [v | 1]`` is
-  one product whose last column is the row sum Z, so the weights E / Z are
-  never formed and no map-sized sum or divide runs. Each row's max entry
-  is exactly 1, so Z >= 1. The outputs differ from the composed masked
-  softmax (``tests/oracles.py``) by rounding only, within 1e-15 of their
-  largest magnitude.
+  buffer, the unnormalised weights E = exp(logits − c_i) for a per-row
+  shift c_i; in ``attention`` the pad scores and exp run in place in it,
+  and the GAT builds it from per-node exponentials. The forward normalises
+  after the value product (FlashAttention, Dao et al. 2022): ``E @ [v | 1]``
+  is one product whose last column is the row sum Z, so the weights E / Z
+  are never formed and no map-sized sum or divide runs. Each shift c_i is
+  the row's logit at one of its real keys, so that entry of E is exactly 1
+  and Z >= 1. The outputs differ from the composed masked softmax
+  (``tests/oracles.py``) by rounding only, within 1e-15 of their largest
+  magnitude.
 * The heads are private to the two attention ops: both return (B, n, h·dh),
   the heads side by side, so no model code permutes axes.
 * Both ops take ``lengths``, each sample's count of real tokens; the keys
@@ -53,6 +54,21 @@ Design notes
   splits the heads with reshape and transpose views; its gradients go back
   through the same views. Setting a pad score to ``MASK_NEG`` is bitwise a
   broadcast bias add, since fl(s + MASK_NEG) = MASK_NEG for |s| < 7e13.
+  Its shift c_i is row i's score at the sample's first key, folded into
+  the keys: the scores are q_i·(k_j − k_0), exactly 0 at j = 0, so no map
+  pass takes a max or subtracts (the "unified max value" of FlashDecoding++,
+  Hong et al. 2023). A zero-length sample's rows are set to 0.0, which
+  gives uniform weights, as its all-MASK_NEG rows minus their max did.
+  The bound dh·max|q|·max|k − k_0| over the batch, two abs-max passes over
+  (B, n, d) arrays, caps every score. At most ``EXP_SAFE`` = 300, every
+  real entry of E lies in [e⁻³⁰⁰, e³⁰⁰] ≈ [5e-131, 2e130], far from exp's
+  limits (overflow past 709, subnormals below −708): no entry loses
+  precision, and Z and E @ v stay finite while n·|v| stays below 1e178.
+  Above it, or when the bound is NaN or inf, ``_row_max`` is subtracted
+  as well (the fallback). Over 40 epochs of relational-preset training
+  the bound rose from 39 to 298, about 4× the largest real score (77):
+  the per-head Cauchy-Schwarz bound ‖q_i‖·max_j ‖k_j − k_0‖ is tighter
+  but needs per-head norms, a short-axis reduction.
 * ``graph_attention(h, w, a_dst, a_src, lengths, keep)`` is the GAT's
   ``(softmax_j(leaky_relu(s_dst_i + s_src_j)) · keep) @ wh``. It takes the
   (B, n, d) features and forms the head-major ``wh = h @ w``, with ``w``
@@ -74,13 +90,13 @@ Design notes
   product ``[s_dst, 1] @ [1; s_src] < 0``, so no sign map is kept. Each
   entry is s_dst_i·1 + 1·s_src_j: both products are exact and the sum
   rounds once, so it is ``< 0`` exactly where the broadcast sum is.
-* Each float row max (the attention map's shift, the GAT's source-score
-  max and the loss's log-sum-exp shift) is ``_row_max``: the entry at the
-  row's argmax, read with ``take_along_axis``. A max is exact in any order,
-  so this is the value ``max`` returns, NaN included, but for which of two
-  tied zeros it picks, and a - (±0.0) has one exp. numpy's ``max`` over a
-  short last axis runs about 70 ns per row; argmax and the gather cost less
-  at n = 12, 36 and 128 alike.
+* Each float row max (``attention``'s fallback shift, the GAT's
+  source-score max and the loss's log-sum-exp shift) is ``_row_max``: the
+  entry at the row's argmax, read with ``take_along_axis``. A max is exact
+  in any order, so this is the value ``max`` returns, NaN included, but for
+  which of two tied zeros it picks, and a - (±0.0) has one exp. numpy's
+  ``max`` over a short last axis runs about 70 ns per row; argmax and the
+  gather cost less at n = 12, 36 and 128 alike.
 * No map pass runs a masked ufunc (numpy's ``where`` keyword) or a scalar
   ``np.where``: both run slow per-element loops. The leaky ReLU of the
   GAT's row tops is ``max(y, slope·y)`` and its gradient factor is the map
@@ -110,6 +126,7 @@ from .errors import ContractError, DegenerateBatchError, ShapeMismatchError
 
 MASK_NEG = -1e30  # a pad key's attention score; exp() underflows to exactly 0.0
 LAYER_NORM_EPS = 1e-5  # added to the variance in every layer_norm
+EXP_SAFE = 300.0  # the largest score bound at which attention skips its row max
 LEAKY_RELU_SLOPE = 0.2  # the GAT's attention-logit slope; lies in (0, 1)
 
 # per thread (and per asyncio task): threaded evaluation must not switch
@@ -280,19 +297,25 @@ def elu(x) -> Tensor:
 
 
 def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize over the last axis, then scale/shift by (gain, bias)."""
+    """Normalize over the last axis, then scale/shift by (gain, bias).
+
+    The mean and the variance are products with a (d, 1) column of 1/d:
+    numpy reduces a short last axis one row at a time, BLAS does not. They
+    differ from ``mean`` by rounding only.
+    """
     x, gain, bias = _ensure_tensor(x), _ensure_tensor(gain), _ensure_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeMismatchError(
             f"layer_norm affine params must have shape ({d},), "
             f"got gain {gain.data.shape} and bias {bias.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    y = xhat * gain.data + bias.data
+    mean = np.full((d, 1), 1.0 / d)  # a @ mean is each row's mean, keepdims
+    xc = x.data - x.data @ mean
+    xhat = xc * xc
+    inv = 1.0 / np.sqrt(xhat @ mean + LAYER_NORM_EPS)
+    np.multiply(xc, inv, out=xhat)
+    y = xhat * gain.data
+    y += bias.data
 
     def bw(g):
         dxhat = g * gain.data
@@ -370,7 +393,10 @@ def attention(q, k, v, lengths: list[int], n_heads: int) -> Tensor:
     receive exactly zero weight. q is scaled by 1/√dh rather than the scores:
     that is n·dh products instead of n², and bitwise equal to scaling the
     scores when 1/√dh is a power of two (dh = 4, 16, 64); at dh = 32 the two
-    differ by rounding. The node keeps the (B, h, n_q, n_k) unnormalised
+    differ by rounding. The scores are taken against k − k_0, each sample's
+    keys less its first key, which shifts every row by its score at that key;
+    the row max runs too only when dh·max|q|·max|k − k_0| exceeds EXP_SAFE
+    or is not finite. The node keeps the (B, h, n_q, n_k) unnormalised
     weights and their (B, h, n_q, 1) row sums, and nothing else map-sized.
     """
     q, k, v = _ensure_tensor(q), _ensure_tensor(k), _ensure_tensor(v)
@@ -381,14 +407,22 @@ def attention(q, k, v, lengths: list[int], n_heads: int) -> Tensor:
             f"attention needs q (B, n_q, d), k and v (B, n_k, d) with d a "
             f"multiple of {n_heads} heads, and B lengths, got {q.data.shape}, "
             f"{k.data.shape}, {v.data.shape} and {len(lengths)} lengths")
-    scale = 1.0 / np.sqrt(q.data.shape[2] // n_heads)
-    qh = _split_heads(q.data, n_heads) * scale          # (B, h, n_q, dh)
+    dh = q.data.shape[2] // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    qs = q.data * scale
+    qh = _split_heads(qs, n_heads)                      # (B, h, n_q, dh)
     kh_t = _split_heads(k.data, n_heads, (0, 2, 3, 1))  # (B, h, dh, n_k)
     vh = _split_heads(v.data, n_heads)                  # (B, h, n_k, dh)
-    e = np.matmul(qh, kh_t)
+    # each row shifted by its score at the sample's first key, folded into
+    # the keys: q_i·(k_j − k_0) is exactly 0 at j = 0, so that entry is 1
+    k0 = k.data - k.data[:, :1]
+    e = np.matmul(qh, _split_heads(k0, n_heads, (0, 2, 3, 1)))
     for b, length in enumerate(lengths):
-        e[b, ..., length:] = MASK_NEG
-    e -= _row_max(e)
+        e[b, ..., length:] = MASK_NEG if length else 0.0
+    # |q_i·(k_j − k_0)| <= dh·max|q|·max|k − k_0|; a NaN bound fails the test
+    bound = dh * np.abs(qs).max(initial=0.0) * np.abs(k0).max(initial=0.0)
+    if not bound <= EXP_SAFE:
+        e -= _row_max(e)
     np.exp(e, out=e)
     out, z = _softmax_value(e, vh, None)
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad

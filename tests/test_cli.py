@@ -1,5 +1,6 @@
 """CLI tests: exit codes, artifacts, determinism, precedence."""
 
+import dataclasses
 import io
 import json
 import os
@@ -10,8 +11,8 @@ import pytest
 
 from graphfuse import cli, training
 from graphfuse.cli import main
-from graphfuse.errors import ParseError
-from graphfuse.model import build_config
+from graphfuse.errors import ConfigError, ParseError
+from graphfuse.model import ModelConfig, build_config
 from graphfuse.rng import RngState
 from graphfuse.training import TrainConfig
 
@@ -54,6 +55,18 @@ BAD_CONFIGS = {
                       "unknown config key(s): train.clip_norm"),
     "warmup-ratio": ({"train": {"warmup_ratio": 0.1}},
                      "unknown config key(s): train.warmup_ratio"),
+}
+
+# a value of the wrong JSON type for each field type, and an out-of-range
+# value for every field of each config: its error must name the key
+WRONG_TYPE = {"int": "1", "float": "0.5", "str": 1}
+OUT_OF_RANGE = {
+    "model": {"vocab_size": 1, "n_labels": 1, "d_emb": 0, "d": 0,
+              "enc_layers": 3, "enc_heads": 0, "gat_hidden": 0,
+              "gat_heads": 0, "dec_heads": 0, "dropout": 1.0, "max_len": 0,
+              "variant": "both"},
+    "train": {"learning_rate": -1.0, "batch_size": 0, "epochs": 0,
+              "max_len": 0, "early_stop_patience": 0, "seed": -1},
 }
 
 # commands that hit an OS error, each of which must end in exit 2; {file} is
@@ -233,6 +246,33 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "learning_rate must be >= 0 and finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cls, section", [(ModelConfig, "model"),
+                                              (TrainConfig, "train")])
+    def test_every_config_error_names_its_key(self, cls, section):
+        base = {"vocab_size": 10, "n_labels": 3} if cls is ModelConfig else {}
+        build_config(cls, base, section)
+        fields = dataclasses.fields(cls)
+        assert sorted(OUT_OF_RANGE[section]) == sorted(f.name for f in fields)
+        for f in fields:
+            for value in (WRONG_TYPE[f.type], OUT_OF_RANGE[section][f.name]):
+                with pytest.raises(ConfigError, match=rf"(^|\W){f.name}\b") as e:
+                    build_config(cls, {**base, f.name: value}, section)
+                assert f"got {value!r}" in str(e.value)
+
+    @pytest.mark.parametrize("flag, named", [("--heads", "enc_heads"),
+                                             ("--epochs", "epochs")])
+    def test_zero_flag_names_its_key(self, workdir, tmp_path, capsys, flag,
+                                     named):
+        data = workdir / "data"
+        code = run_cli(["train", "--train", str(data / "train.conll"),
+                        "--valid", str(data / "valid.conll"),
+                        "--out", str(tmp_path / "o"), "--preset", "copy",
+                        flag, "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{named} must be >= 1, got 0" in err
         assert "Traceback" not in err
 
     def test_json_types_accepted(self):

@@ -34,6 +34,9 @@ class TestSpecs:
             TaskSpec(kind="nope").validate()
         with pytest.raises(ConfigError):
             TaskSpec(len_min=10, len_max=5).validate()
+        for key in ("n_train", "n_valid", "n_test"):
+            with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0$"):
+                TaskSpec(**{key: 0}).validate()
         with pytest.raises(ConfigError):
             # too short for a guaranteed MIN_GAP placement
             TaskSpec(kind="relational-match", len_min=MIN_GAP + 1,

@@ -357,8 +357,10 @@ class TestFusedAttention:
             out = fused_op(op, *(Tensor(a, requires_grad=True) for a in inputs))
         want, values = oracle(op, inputs)
         assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
-        # each row's largest unnormalised weight is 1, so Z is 1 / max weight
-        z, z_want = kept(out, "z"), 1.0 / want.max(axis=-1, keepdims=True)
+        # the unnormalised weight at the sample's first key is 1 in attention,
+        # and each row's largest one in the GAT, so Z is 1 / that weight
+        anchor = want[..., :1] if op == "attention" else want.max(-1, keepdims=True)
+        z, z_want = kept(out, "z"), 1.0 / anchor
         assert np.abs(z - z_want).max() <= 1e-15 * z_want.max()
         dropped = want * KEEP if op == "graph_attention_keep" else want
         mixed = merged(dropped @ values)
@@ -406,6 +408,62 @@ class TestFusedAttention:
         # both come from the pad token's features h
         for t in (tensors[1:] if op == "attention" else tensors[:1]):
             assert (at_keys(t.grad, 1) == 0.0).all()
+
+
+class TestAttentionShift:
+    """``T.attention`` shifts each row by its score at the sample's first key
+    and runs the row max only when dh·max|q|·max|k − k_0| passes EXP_SAFE."""
+
+    @pytest.mark.parametrize("peak", [290.0, 1e3, 1e5])
+    def test_scores_near_and_past_exp_safe_match_the_oracle(self, peak):
+        q, k, v = fused_inputs("attention", RngState(28))
+        # entries ±a in q and ±1 in k, and a zero first key: each score
+        # q_i·(k_j − k_0) over dh = 2 is 0 or ±peak, the bound itself
+        dh = 2
+        q, k = np.sign(q) * (peak / np.sqrt(dh)), np.sign(k)
+        k[:, 0] = 0.0
+        with attention_maps() as weights:
+            out = T.attention(Tensor(q, requires_grad=True), k, v, LENGTHS, 3)
+        s = scores(q, k)
+        assert s.max() == pytest.approx(peak, rel=1e-12) == -s.min()
+        # below EXP_SAFE no row max runs: E reaches exp(peak); above it, the
+        # row max shift caps E at 1
+        e = kept(out, "e")
+        assert e.max() == (pytest.approx(np.exp(peak)) if peak < T.EXP_SAFE else 1.0)
+        want = masked_softmax(s, length_mask(LENGTHS, 5))
+        assert np.abs(weights[0] - want).max() <= 1e-15 * np.abs(want).max()
+        mixed = merged(want @ heads(v))
+        assert np.abs(out.data - mixed).max() <= 1e-15 * np.abs(mixed).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_bound_takes_the_row_max(self, bad):
+        q, k, v = fused_inputs("attention", RngState(29))
+        row_peaks = []
+        for value in (k[0, 2, 0], bad):  # a finite bound, then NaN or inf
+            k[0, 2, 0] = value
+            with np.errstate(invalid="ignore"):
+                out = T.attention(Tensor(q, requires_grad=True), k, v, [5, 5], 3)
+            assert np.isfinite(out.data[1]).all()
+            row_peaks.append(kept(out, "e")[1].max(-1))
+        # sample 1 is finite either way; only the row max makes each of its
+        # rows peak at exactly 1
+        assert (row_peaks[0] > 1.0).any()
+        np.testing.assert_array_equal(row_peaks[1], 1.0)
+
+    def test_zero_length_sample_gets_uniform_weights(self):
+        rng = RngState(30)
+        arrays = [rng.normal((3, 4, 6)), rng.normal((3, 5, 6)), rng.normal((3, 5, 6))]
+        w = rng.normal((3, 4, 6))
+        runs = []
+        for pick, lengths in (([0, 1, 2], [3, 0, 5]), ([0, 2], [3, 5])):
+            tensors = [Tensor(a[pick], requires_grad=True) for a in arrays]
+            with attention_maps() as weights:
+                out = T.attention(*tensors, lengths, 3)
+            total(out * w[pick]).backward()
+            runs.append([out.data, weights[0]] + [t.grad for t in tensors])
+        assert (runs[0][1][1] == 0.2).all()
+        for with_empty, without in zip(*runs):
+            assert with_empty[[0, 2]].tobytes() == without.tobytes()
 
 
 class TestPointwise:
@@ -564,6 +622,17 @@ class TestLayerNorm:
         assert max_rel_err(x.grad, fd[0]) < 1e-5
         assert max_rel_err(gain.grad, fd[1]) < 1e-5
         assert max_rel_err(bias.grad, fd[2]) < 1e-5
+
+    @pytest.mark.parametrize("d", [1, 32, 256])
+    def test_moments_as_products_match_the_composed_form(self, d):
+        rng = RngState(31)
+        x = rng.normal((3, 7, d)) * 4.0 + 1.5
+        gain, bias = rng.uniform(0.5, 1.5, (d,)), rng.normal((d,))
+        got = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        mu = x.mean(-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(-1, keepdims=True)
+        want = (x - mu) / np.sqrt(var + T.LAYER_NORM_EPS) * gain + bias
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_affine_shape_check(self):
         with pytest.raises(ShapeMismatchError):

@@ -4,7 +4,8 @@ determinism and early stopping."""
 import numpy as np
 import pytest
 
-from graphfuse.data import build_label_vocab, build_token_vocab
+from graphfuse.data import build_label_vocab, build_token_vocab, make_batches
+from graphfuse.encoder import encode
 from graphfuse.errors import ConfigError, ContractError, TrainingDivergedError
 from graphfuse.layers import FlatParams
 from graphfuse.model import ModelConfig, TokenClassifier
@@ -266,11 +267,16 @@ class TestTrainLoop:
 
     def test_divergence_raises_with_step(self):
         model, corpora = tiny_setup()
-        # blow up an embedding so the first forward pass yields inf/nan
-        model.encoder.embedding.data[:] = 1e200
+        # blow the embedding up to inf: the encoder's projection (tiny_setup
+        # has no encoder blocks) then sums +inf and -inf terms, so the
+        # features are NaN before any attention runs, whatever its shift
+        model.encoder.embedding.data[:] = np.inf
+        batch = make_batches(corpora["train"], 8, 16, model.token_vocab,
+                             model.label_vocab)[0]
         cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8,
                           max_len=16, seed=0)
         with np.errstate(all="ignore"):
+            assert np.isnan(encode(batch, model.encoder, None).data).all()
             with pytest.raises(TrainingDivergedError) as exc_info:
                 train(model, corpora, cfg)
         assert "step" in str(exc_info.value)
